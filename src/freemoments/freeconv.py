@@ -1,7 +1,7 @@
 """Numerical free-convolution analysis.
 
-Cauchy transforms of the semicircle and uniform laws, a damped subordination
-fixed-point solver for their free additive convolution, Stieltjes inversion
+Cauchy transforms of the semicircle and uniform laws, a Newton subordination
+solver for their free additive convolution, Stieltjes inversion
 onto density grids, the exponential pushforward, and the closed-form support
 of the free log-normal law.
 
@@ -37,8 +37,8 @@ __all__ = [
 
 
 class SubordinationError(RuntimeError):
-    """Fixed-point iteration failed to converge; z is too close to the axis
-    for the configured damping, or the iteration budget is too small."""
+    """The Newton subordination solve did not converge within its budget of
+    steps (``max_iterations``)."""
 
 
 class BranchError(ArithmeticError):
@@ -113,46 +113,83 @@ def cauchy_uniform(z: complex, lo: float, hi: float) -> complex:
     return complex(g.item())
 
 
+# Each continuation stage divides the height above the real axis by this
+# factor and starts Newton from the previous stage's root, close enough to
+# the new root for Newton to converge in a few steps.
+_CONTINUATION = 32.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _newton_stage(
+    z: np.ndarray,
+    g: np.ndarray,
+    c: float,
+    lo: float,
+    hi: float,
+    tolerance: float,
+    budget: int,
+) -> int:
+    """Newton on ``G - G_U(z - c G) = 0`` in place over ``g``; returns the
+    unspent budget of vectorized steps."""
+    active = np.arange(z.size)
+    while active.size:
+        if budget == 0:
+            raise SubordinationError(
+                f"{active.size} of {z.size} grid points did not converge before "
+                f"the Newton step budget ran out (tolerance {tolerance:g})"
+            )
+        budget -= 1
+        current = g[active]
+        w = z[active] - c * current
+        residual = current - _cauchy_uniform_raw(w, lo, hi)
+        # F'(G), dividing twice: the product (w - lo)(w - hi) overflows first
+        step = residual / (1.0 - c / (w - lo) / (w - hi))
+        new = current - step
+        # keep Im G < 0, so that w stays in the upper half-plane; a step that
+        # underflows to zero leaves G as it was, for _check_herglotz to judge
+        outside = np.flatnonzero(new.imag >= 0)
+        while outside.size:
+            step[outside] *= 0.5
+            new[outside] = current[outside] - step[outside]
+            outside = outside[(new[outside].imag >= 0) & (step[outside] != 0)]
+        g[active] = new
+        # near a support edge F' -> 0 and the step settles at roundoff / |F'|
+        # above the tolerance while the residual is already at roundoff
+        scale = np.maximum(1.0, np.abs(current))
+        done = (np.abs(step) <= tolerance * scale) | (
+            np.abs(residual) <= 4.0 * _EPS * scale
+        )
+        active = active[~done]
+    return budget
+
+
 def _subordination_cauchy(
     z: np.ndarray,
     radius: float,
     lo: float,
     hi: float,
-    damping: float,
     tolerance: float,
     max_iterations: int,
 ) -> np.ndarray:
-    """Vectorized G of ``Semicircle(radius) boxplus Uniform[lo, hi]`` at z."""
-    omega = np.array(z, dtype=complex)
-    floor = z.imag
-    # step tolerance is absolute near the real axis and relative far away,
-    # where double resolution alone exceeds any fixed absolute threshold
-    step_tol = tolerance * np.maximum(1.0, np.abs(z))
-    active = np.ones(z.shape, dtype=bool)
-    for _ in range(max_iterations):
-        w = omega[active]
-        f_sc = 0.5 * (w + _edge_sqrt(w, radius))
-        omega_other = z[active] + f_sc - w
-        f_u = 1.0 / _cauchy_uniform_raw(omega_other, lo, hi)
-        candidate = z[active] + f_u - omega_other
-        new = w + damping * (candidate - w)
-        lifted = new.imag < floor[active]
-        if lifted.any():
-            new = np.where(lifted, new.real + 1j * floor[active], new)
-        moved = np.abs(new - w)
-        omega[active] = new
-        settled = moved < step_tol[active]
-        if settled.any():
-            idx = np.flatnonzero(active)
-            active[idx[settled]] = False
-            if not active.any():
-                break
-    else:
-        raise SubordinationError(
-            f"{int(active.sum())} of {active.size} grid points did not converge "
-            f"within {max_iterations} iterations (tolerance {tolerance:g})"
-        )
-    g = _cauchy_semicircle_raw(omega, radius)
+    """Vectorized G of ``Semicircle(radius) boxplus Uniform[lo, hi]`` at z.
+
+    The semicircle's R-transform is ``c G`` with ``c = radius^2 / 4``, so G is
+    the root of ``F(G) = G - G_U(z - c G)`` with ``Im G < 0`` (Biane, Indiana
+    Univ. Math. J. 46, 1997), and ``F'(G) = 1 - c / ((w - lo)(w - hi))`` at
+    ``w = z - c G``.  Newton continues down from height ``max(1, Im z)``,
+    started at ``1 / (z - (lo + hi) / 2)``, dividing the height by
+    ``_CONTINUATION`` per stage until it reaches ``Im z``.
+    """
+    c = 0.25 * radius * radius
+    x, eta = z.real, z.imag
+    height = np.maximum(1.0, eta)
+    g = 1.0 / (x + 1j * height - 0.5 * (lo + hi))
+    budget = max_iterations
+    while True:
+        budget = _newton_stage(x + 1j * height, g, c, lo, hi, tolerance, budget)
+        if (height == eta).all():
+            break
+        height = np.maximum(height / _CONTINUATION, eta)
     _check_herglotz(g, "subordination result")
     return g
 
@@ -163,27 +200,25 @@ def free_sum_cauchy(
     lo: float,
     hi: float,
     *,
-    damping: float = 0.5,
     tolerance: float = 1e-13,
     max_iterations: int = 10_000,
 ) -> complex:
     """Cauchy transform of ``Semicircle(radius) boxplus Uniform[lo, hi]``.
 
-    Two-function subordination: with ``h_i(w) = 1/G_i(w) - w``, iterate
-    ``omega <- z + h_u(z + h_sc(omega))`` with damping ``damping`` and an
-    imaginary-part floor at ``Im z``, stopping when successive iterates move
-    less than ``tolerance``; the result is the semicircle transform evaluated
-    at the subordination point.  ``lo == hi`` (point mass) and tiny ``radius``
+    Subordination through the linear R-transform of the semicircle: G is the
+    root of ``G = G_U(z - (radius^2/4) G)`` with ``Im G < 0``, found by
+    Newton's method continued down in ``Im z`` from height 1.  A point stops
+    when its Newton step falls below ``tolerance * max(1, |G|)`` or its
+    residual reaches roundoff; ``max_iterations`` bounds the total number of
+    vectorized Newton steps.  ``lo == hi`` (point mass) and tiny ``radius``
     reproduce the single-measure transforms.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if lo > hi:
         raise ValueError("need lo <= hi")
-    if not 0 < damping <= 1:
-        raise ValueError("damping must lie in (0, 1]")
     g = _subordination_cauchy(
-        _as_upper(z), radius, float(lo), float(hi), damping, tolerance, max_iterations
+        _as_upper(z), radius, float(lo), float(hi), tolerance, max_iterations
     )
     return complex(g.item())
 
@@ -301,7 +336,6 @@ def density_grid(
     points: int,
     eta: float,
     *,
-    damping: float = 0.5,
     tolerance: float = 1e-13,
     max_iterations: int = 10_000,
 ) -> DensityGrid:
@@ -319,7 +353,7 @@ def density_grid(
         raise ValueError("eta must be positive")
     x = np.linspace(x_lo, x_hi, points)
     g = _subordination_cauchy(
-        x + 1j * eta, radius, float(lo), float(hi), damping, tolerance, max_iterations
+        x + 1j * eta, radius, float(lo), float(hi), tolerance, max_iterations
     )
     values = -g.imag / math.pi
     mass = float(np.trapezoid(values, x))
@@ -336,7 +370,6 @@ def grid_moments(
     eta: float,
     n_max: int,
     *,
-    damping: float = 0.5,
     tolerance: float = 1e-13,
     max_iterations: int = 10_000,
 ) -> list[float]:
@@ -365,7 +398,7 @@ def grid_moments(
     x = np.linspace(x_lo, x_hi, points)
     z = x + 1j * eta
     g = _subordination_cauchy(
-        z, radius, float(lo), float(hi), damping, tolerance, max_iterations
+        z, radius, float(lo), float(hi), tolerance, max_iterations
     )
     out: list[float] = []
     for n in range(n_max + 1):

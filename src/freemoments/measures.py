@@ -89,7 +89,7 @@ class ExpImage:
 class FreeLogNormal:
     """Spectral law at ``time > 0`` of the free positive multiplicative
     Brownian motion; equals the exponential image of
-    ``Semicircle(2 sqrt(t)) boxplus Uniform[-t, 0]``."""
+    ``Semicircle(2 sqrt(t)) boxplus Uniform[-t/2, t/2]``."""
 
     time: ScalarLike
 

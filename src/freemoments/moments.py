@@ -31,7 +31,13 @@ from .measures import (
     Uniform,
 )
 from .ratpoly import RationalPolynomial
-from .specfun import DEFAULT_POLICY, SeriesPolicy, kummer_1f1, laguerre
+from .specfun import (
+    DEFAULT_POLICY,
+    SeriesConvergenceError,
+    SeriesPolicy,
+    kummer_1f1,
+    laguerre,
+)
 
 __all__ = [
     "moment_polynomial",
@@ -151,8 +157,9 @@ def free_lognormal_moment_alpha(
     """Fractional moment ``e^(alpha t / 2) 1F1(1 - alpha; 2; -alpha t)``.
 
     Evaluates the equivalent generalized-binomial series as well and raises
-    if the two routes disagree beyond ``cross_check_tolerance`` relative to
-    ``1 + |value|``; real positive and negative alpha are both fine.
+    :class:`SeriesConvergenceError` if the two routes disagree beyond
+    ``cross_check_tolerance`` relative to ``1 + |value|``; real positive and
+    negative alpha are both fine.
     """
     alpha = complex(alpha)
     if alpha == 0:
@@ -162,7 +169,7 @@ def free_lognormal_moment_alpha(
     value = cmath.exp(alpha * t / 2.0) * kummer_1f1(1 - alpha, 2.0, -alpha * t, policy)
     series = free_lognormal_moment_alpha_series(alpha, t, policy)
     if abs(value - series) > cross_check_tolerance * (1 + abs(value)):
-        raise ArithmeticError(
+        raise SeriesConvergenceError(
             f"fractional-moment routes disagree at alpha={alpha}, t={t}: "
             f"{value} vs {series}"
         )
@@ -191,7 +198,7 @@ def free_lognormal_moment_alpha_series(
         else:
             small_streak = 0
     else:
-        raise ArithmeticError(
+        raise SeriesConvergenceError(
             f"binomial moment series did not settle (alpha={alpha}, t={t})"
         )
     return cmath.exp(alpha * t / 2.0) * total / alpha
@@ -385,7 +392,7 @@ def _semicircle_mgf(radius: float, alpha: complex, policy: SeriesPolicy) -> comp
         total += term
         if abs(term) <= policy.relative_tolerance * abs(total):
             return total
-    raise ArithmeticError("semicircle exponential series did not settle")
+    raise SeriesConvergenceError("semicircle exponential series did not settle")
 
 
 def mgf(

@@ -148,7 +148,7 @@ class TestDensity:
         assert len(lines) == 601
         meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
         assert 0.98 <= meta["mass_estimate"] <= 1.02
-        assert meta["solver"]["damping"] == 0.5
+        assert meta["solver"]["tolerance"] == 1e-13
         assert meta["support"]["lower"] * meta["support"]["upper"] == pytest.approx(1.0)
 
     def test_exp_mode_annotates_closed_form_support(self, capsys):

@@ -4,6 +4,7 @@ import io
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -33,6 +34,12 @@ def quad_transform(density, lo: float, hi: float, z: complex) -> complex:
         lambda x: (-density(x) * z.imag) / abs(z - x) ** 2, lo, hi, limit=200
     )
     return complex(real, imag)
+
+
+def log_edge(t: float) -> float:
+    """Right edge ``sqrt(t (1 + t/4)) + 2 asinh(sqrt(t)/2)`` of
+    ``Semicircle(2 sqrt t) boxplus Uniform[-t/2, t/2]``."""
+    return math.sqrt(t * (1.0 + t / 4.0)) + 2.0 * math.asinh(math.sqrt(t) / 2.0)
 
 
 class TestCauchyTransforms:
@@ -110,6 +117,35 @@ class TestFreeSumCauchy:
         with pytest.raises(SubordinationError):
             free_sum_cauchy(0.1 + 1e-9j, 2.0, -1.0, 1.0, max_iterations=3)
 
+    def test_agrees_with_high_precision_root(self):
+        # G solves G = G_U(z - t G) for Semicircle(2 sqrt t) + Uniform[-t/2, t/2];
+        # the 30-digit root with Im G < 0 and Im(z - t G) > 0 is the unique
+        # Nevanlinna root, whichever start findroot is given
+        with mpmath.workdps(30):
+            for t in (0.25, 1.0, 2.0, 8.0):
+                edge = log_edge(t)
+                c, half = mpmath.mpf(t), mpmath.mpf(t) / 2
+                for x in (0.0, edge / 2, edge - 1e-3, edge - 1e-4, edge + 1e-4, edge + 0.3):
+                    for eta in (1e-1, 1e-3, 1e-5):
+                        z = complex(x, eta)
+                        g = free_sum_cauchy(z, 2.0 * math.sqrt(t), -t / 2, t / 2)
+                        zm = mpmath.mpc(z)
+                        root = mpmath.findroot(
+                            lambda G: G
+                            - mpmath.log((zm - c * G + half) / (zm - c * G - half)) / c,
+                            mpmath.mpc(g),
+                        )
+                        assert root.imag < 0 and (zm - c * root).imag > 0
+                        reference = complex(root)
+                        assert abs(g - reference) <= 1e-12 * max(1.0, abs(reference)), (t, x, eta)
+
+    def test_point_next_to_edge_at_large_time(self):
+        # 1e-4 inside the right edge at t = 8, eta = 1e-5, where a damped
+        # fixed-point iteration on the subordination maps needs more than
+        # 10_000 sweeps
+        g = free_sum_cauchy(complex(log_edge(8.0) - 1e-4, 1e-5), 2.0 * math.sqrt(8.0), -4.0, 4.0)
+        assert g.imag < 0
+
     def test_ladder_depth_validation(self):
         with pytest.raises(ValueError):
             expansion_moments(lambda z: 1 / z, 8, levels=2)
@@ -133,6 +169,30 @@ class TestDensityGrid:
         edge = math.log(free_lognormal_support(t).upper)
         grid = density_grid(2.0, -0.5, 0.5, -edge - 0.25, edge + 0.25, 2000, 1e-3)
         assert 0.98 <= grid.mass_estimate <= 1.02
+
+    def test_edge_points_at_large_time_and_small_eta(self):
+        # t = 8, eta = 1e-5: two grid points fall 2e-4 from an edge
+        edge = 7.1914
+        eta = 1e-5
+        margin = 0.5
+        grid = density_grid(
+            2.0 * math.sqrt(8.0), -4.0, 4.0, -edge - margin, edge + margin, 2000, eta
+        )
+        # the Cauchy tails beyond the window hold about 2 eta / (pi margin)
+        assert abs(grid.mass_estimate - 1.0) <= 4.0 * eta / margin + 1e-4
+
+    def test_edge_point_with_stalled_newton_step(self):
+        # at x = -1.61745, next to the left edge, the residual reaches
+        # roundoff (2.2e-16) while the Newton step stays near 1.3e-14, so a
+        # step-only stopping test at tolerance 1e-14 never ends there
+        t = 0.6220703125
+        window = 2.1174105115801725  # log_edge(t) + 0.5
+        for tolerance in (1e-13, 1e-14):
+            grid = density_grid(
+                2.0 * math.sqrt(t), -t / 2, t / 2, -window, window, 2000, 1e-5,
+                tolerance=tolerance,
+            )
+            assert abs(grid.mass_estimate - 1.0) <= 4.0 * 1e-5 / 0.5 + 1e-4
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from freemoments.moments import (
     verify_exp_image_moments,
 )
 from freemoments.ratpoly import RationalPolynomial
+from freemoments.specfun import SeriesConvergenceError
 
 small_rationals = st.fractions(min_value=-4, max_value=4)
 
@@ -169,6 +170,12 @@ class TestFreeLogNormalMoments:
                 a = free_lognormal_moment_alpha(alpha, t)
                 b = free_lognormal_moment_alpha_series(alpha, t)
                 assert abs(a - b) <= 1e-10 * (1 + abs(a))
+
+    def test_route_disagreement_is_typed(self):
+        # the two routes disagree beyond 1e-10 here; the refusal is a
+        # SeriesConvergenceError, still an ArithmeticError for old handlers
+        with pytest.raises(SeriesConvergenceError):
+            free_lognormal_moment_alpha(-0.85193 - 4.65839j, 3.0)
 
     def test_exp_image_agreement_report(self):
         report = verify_exp_image_moments(25, 4.0)
