@@ -35,6 +35,7 @@ from .specfun import (
     DEFAULT_POLICY,
     SeriesConvergenceError,
     SeriesPolicy,
+    _series_1f1,
     kummer_1f1,
     laguerre,
 )
@@ -139,12 +140,18 @@ def semicircle_uniform_moment(
 
 
 def free_lognormal_moment(n: int, t: float) -> float:
-    """n-th moment ``e^(nt/2) L_{n-1}^{(1)}(-nt) / n`` of the free log-normal law."""
+    """n-th moment ``e^(nt/2) L_{n-1}^{(1)}(-nt) / n`` of the free log-normal law.
+
+    Raises ``OverflowError`` when the moment exceeds the float range.
+    """
     if n < 1:
         raise ValueError("order must be a positive integer")
     if t <= 0:
         raise ValueError("time must be positive")
-    return math.exp(n * t / 2.0) * laguerre(n - 1, 1.0, -n * t) / n
+    value = laguerre(n - 1, 1.0, -n * t) / n * math.exp(n * t / 2.0)
+    if math.isinf(value):
+        raise OverflowError(f"moment {n} at t={t} exceeds the float range")
+    return value
 
 
 def free_lognormal_moment_alpha(
@@ -156,22 +163,20 @@ def free_lognormal_moment_alpha(
 ) -> complex:
     """Fractional moment ``e^(alpha t / 2) 1F1(1 - alpha; 2; -alpha t)``.
 
-    Evaluates the equivalent generalized-binomial series as well and raises
-    :class:`SeriesConvergenceError` if the two routes disagree beyond
-    ``cross_check_tolerance`` relative to ``1 + |value|``; real positive and
-    negative alpha are both fine.
+    Sums two different series: the direct one in ``-alpha t`` and its Kummer
+    reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``.  Returns the
+    reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would, and
+    raises :class:`SeriesConvergenceError` if the two disagree beyond
+    ``cross_check_tolerance`` relative to ``1 + |value|``.
     """
+    direct = free_lognormal_moment_alpha_series(alpha, t, policy)
     alpha = complex(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if t <= 0:
-        raise ValueError("time must be positive")
-    value = cmath.exp(alpha * t / 2.0) * kummer_1f1(1 - alpha, 2.0, -alpha * t, policy)
-    series = free_lognormal_moment_alpha_series(alpha, t, policy)
-    if abs(value - series) > cross_check_tolerance * (1 + abs(value)):
+    reflected = cmath.exp(-alpha * t / 2.0) * _series_1f1(1 + alpha, 2.0, alpha * t, policy)
+    value, other = (reflected, direct) if alpha.real * t > 1.0 else (direct, reflected)
+    if not abs(value - other) <= cross_check_tolerance * (1 + abs(value)):
         raise SeriesConvergenceError(
             f"fractional-moment routes disagree at alpha={alpha}, t={t}: "
-            f"{value} vs {series}"
+            f"{value} vs {other}"
         )
     return value
 
@@ -179,29 +184,16 @@ def free_lognormal_moment_alpha(
 def free_lognormal_moment_alpha_series(
     alpha: complex, t: float, policy: SeriesPolicy = DEFAULT_POLICY
 ) -> complex:
-    """Fractional moment via ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``."""
+    """Fractional moment via ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``.
+
+    Term by term this is the direct series ``1F1(1 - alpha; 2; -alpha t)``.
+    """
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if t <= 0:
         raise ValueError("time must be positive")
-    term = alpha  # j = 0 contribution C(alpha, 1)
-    total = term
-    small_streak = 0
-    for j in range(policy.max_terms):
-        term = term * (alpha - 1 - j) / (2 + j) * (alpha * t) / (j + 1)
-        total += term
-        if abs(term) <= policy.relative_tolerance * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-    else:
-        raise SeriesConvergenceError(
-            f"binomial moment series did not settle (alpha={alpha}, t={t})"
-        )
-    return cmath.exp(alpha * t / 2.0) * total / alpha
+    return cmath.exp(alpha * t / 2.0) * _series_1f1(1 - alpha, 2.0, -alpha * t, policy)
 
 
 def additive_mgf(
@@ -383,16 +375,8 @@ def _free_sum_moment(measure: FreeSum, order: int) -> Fraction:
 
 
 def _semicircle_mgf(radius: float, alpha: complex, policy: SeriesPolicy) -> complex:
-    # sum_k (x^k / (k! (k+1)!)) with x = (radius * alpha / 2)^2
-    x = (radius * alpha / 2.0) ** 2
-    term = 1 + 0j
-    total = term
-    for k in range(policy.max_terms):
-        term = term * x / ((k + 1) * (k + 2))
-        total += term
-        if abs(term) <= policy.relative_tolerance * abs(total):
-            return total
-    raise SeriesConvergenceError("semicircle exponential series did not settle")
+    # 0F1(; 2; x) = sum_k x^k / (k! (k+1)!) with x = (radius * alpha / 2)^2
+    return _series_1f1(None, 2.0, (radius * alpha / 2.0) ** 2, policy)
 
 
 def mgf(

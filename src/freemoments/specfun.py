@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from scipy import integrate
-
 __all__ = [
     "SeriesConvergenceError",
     "SeriesPolicy",
@@ -38,7 +36,11 @@ class SeriesPolicy:
 
     A term is "small" when ``|term| <= relative_tolerance * |partial sum|``;
     summation stops after two consecutive small terms (a single small term can
-    be an alternating-series accident) and raises past ``max_terms``.
+    be an alternating-series accident) and raises past ``max_terms``.  A sum
+    whose largest term exceeds ``2**26`` times its value has lost more than
+    half of the double-precision digits to cancellation, and is refused with
+    :class:`SeriesConvergenceError`.  A terminating (polynomial) series that
+    reaches its last term is returned unrefused.
     """
 
     relative_tolerance: float = 1e-15
@@ -54,26 +56,25 @@ class SeriesPolicy:
 DEFAULT_POLICY = SeriesPolicy()
 
 
-def _real_binomial(top: float, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= (top - i) / (i + 1)
-    return out
-
-
 def laguerre(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial ``L_n^(alpha)(x)`` by its explicit sum.
+    """Generalized Laguerre polynomial ``L_n^(alpha)(x)`` by its three-term recurrence.
 
-    ``sum_{j=0}^{n} C(n + alpha, n - j) (-x)^j / j!``; exact finite sum, no
-    recurrences, so it can serve as a cross-check for the hypergeometric
-    route.
+    ``(k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}`` from
+    ``L_{-1} = 0`` and ``L_0 = 1``.  It shares nothing with the hypergeometric
+    term recursion, so it serves as a cross-check for that route.  At
+    ``x < 0`` the polynomials grow with the degree and the forward recurrence
+    is stable; a value beyond the float range raises ``OverflowError``.
     """
     if n < 0:
         raise ValueError("degree must be a natural number")
-    total = 0.0
-    for j in range(n + 1):
-        total += _real_binomial(n + alpha, n - j) * (-x) ** j / math.factorial(j)
-    return total
+    previous, current = 0.0, 1.0
+    for k in range(n):
+        previous, current = current, (
+            (2 * k + 1 + alpha - x) * current - (k + alpha) * previous
+        ) / (k + 1)
+    if not math.isfinite(current):
+        raise OverflowError(f"L_{n}^({alpha})({x}) exceeds the float range")
+    return current
 
 
 def _nonpositive_integer(value: complex) -> Union[int, None]:
@@ -86,33 +87,52 @@ def _nonpositive_integer(value: complex) -> Union[int, None]:
     return -int(r)
 
 
-def _series_1f1(a: complex, b: complex, x: complex, policy: SeriesPolicy) -> complex:
-    term = 1 + 0j
-    total = term
-    small_streak = 0
+def _terminates(a: complex, b: complex) -> bool:
+    """Whether ``1F1(a; b; x)`` is a polynomial; raises at a pole in ``b``."""
+    pole_a = _nonpositive_integer(a)
+    pole_b = _nonpositive_integer(b)
+    if pole_b is not None and (pole_a is None or pole_a > pole_b):
+        raise ValueError(f"1F1 pole: b = {b} is a nonpositive integer")
+    return pole_a is not None
+
+
+_CANCELLATION_LIMIT = 2.0**26  # largest term / |sum| past which half the digits are lost
+
+
+def _series_1f1(a: Union[complex, None], b: complex, x: complex, policy: SeriesPolicy) -> complex:
+    """The package's one series loop: ``1F1(a; b; x)``, or ``0F1(; b; x)`` for ``a=None``.
+
+    Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A terminating
+    series that reaches ``a + j == 0`` is returned there, before any pole in
+    ``b``; a sum ended by the policy's stop rule is checked for cancellation.
+    """
+    term = total = 1 + 0j
+    largest = 1.0
+    previous_small = False
     for j in range(policy.max_terms):
-        term = term * (a + j) * x / ((b + j) * (j + 1))
-        total += term
-        if abs(term) <= policy.relative_tolerance * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
+        if a is None:
+            term = term * x / ((b + j) * (j + 1))
+        elif a + j == 0:
+            return total
         else:
-            small_streak = 0
+            term = term * ((a + j) * x) / ((b + j) * (j + 1))
+        total += term
+        size = abs(term)
+        largest = max(largest, size)
+        if size > policy.relative_tolerance * abs(total):
+            previous_small = False
+        elif previous_small:
+            if largest > _CANCELLATION_LIMIT * abs(total):
+                raise SeriesConvergenceError(
+                    f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
+                )
+            return total
+        else:
+            previous_small = True
     raise SeriesConvergenceError(
         f"hypergeometric series did not settle within {policy.max_terms} terms "
         f"(a={a}, b={b}, x={x})"
     )
-
-
-def _polynomial_1f1(a: complex, b: complex, x: complex, n_terms: int) -> complex:
-    # a = -N: the series terminates at j = N, summed here without a stop rule
-    term = 1 + 0j
-    total = term
-    for j in range(n_terms):
-        term = term * (a + j) * x / ((b + j) * (j + 1))
-        total += term
-    return total
 
 
 def kummer_1f1(a: Scalar, b: Scalar, x: Scalar, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
@@ -120,19 +140,13 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar, policy: SeriesPolicy = DEFAULT_P
 
     Rising-factorial convention via the term recursion
     ``term_{j+1} = term_j (a+j) x / ((b+j)(j+1))``.  Nonpositive-integer ``a``
-    takes the exact polynomial path; for strongly negative real part the
+    gives a polynomial, summed directly; otherwise, for ``Re x < -1``, the
     reflection ``e^x 1F1(b-a; b; -x)`` avoids alternating-series cancellation.
     Nonpositive-integer ``b`` is a pole unless the numerator terminates first.
     """
     a, b, x = complex(a), complex(b), complex(x)
-    pole_a = _nonpositive_integer(a)
-    pole_b = _nonpositive_integer(b)
-    if pole_b is not None and (pole_a is None or pole_a > pole_b):
-        raise ValueError(f"1F1 pole: b = {b} is a nonpositive integer")
-    if pole_a is not None:
-        return _polynomial_1f1(a, b, x, pole_a)
-    if x.real < -1.0:
-        return cmath.exp(x) * kummer_1f1(b - a, b, -x, policy)
+    if not _terminates(a, b) and x.real < -1.0:
+        return cmath.exp(x) * _series_1f1(b - a, b, -x, policy)
     return _series_1f1(a, b, x, policy)
 
 
@@ -141,20 +155,15 @@ def kummer_transform_check(
 ) -> bool:
     """Whether ``1F1(a; b; x)`` equals ``e^x 1F1(b-a; b; -x)`` numerically.
 
-    The right side is forced through the raw series (no reflection), so the
-    two sides are genuinely distinct computations; compared at relative scale
-    ``1 + |lhs|``.
+    Compares two different sums for every ``x``: the direct series in ``x``
+    and the Kummer-reflected series in ``-x``, at relative scale
+    ``1 + |direct|``.  A sum that refuses raises ``SeriesConvergenceError``.
     """
     a, b, x = complex(a), complex(b), complex(x)
-    lhs = kummer_1f1(a, b, x)
-    mirrored = b - a
-    pole = _nonpositive_integer(mirrored)
-    if pole is not None:
-        rhs_core = _polynomial_1f1(mirrored, b, -x, pole)
-    else:
-        rhs_core = _series_1f1(mirrored, b, -x, DEFAULT_POLICY)
-    rhs = cmath.exp(x) * rhs_core
-    return abs(lhs - rhs) <= tolerance * (1 + abs(lhs))
+    _terminates(a, b)  # rejects a pole in b
+    direct = _series_1f1(a, b, x, DEFAULT_POLICY)
+    reflected = cmath.exp(x) * _series_1f1(b - a, b, -x, DEFAULT_POLICY)
+    return abs(direct - reflected) <= tolerance * (1 + abs(direct))
 
 
 def _gamma_positive(v: float) -> float:
@@ -173,6 +182,8 @@ def euler_integral_1f1(a: float, b: float, x: float, *, tolerance: float = 1e-12
     """
     if not (a > 0 and b > a):
         raise ValueError("integral representation requires b > a > 0")
+    from scipy import integrate  # imported here: nothing else needs scipy.integrate
+
     prefactor = _gamma_positive(b) / (_gamma_positive(a) * _gamma_positive(b - a))
 
     def integrand(u: float) -> float:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -139,6 +140,18 @@ class TestFreeLogNormalMoments:
             expect = math.exp(1.5 * t) * (1 + 3 * t + 1.5 * t * t)
             assert free_lognormal_moment(3, t) == pytest.approx(expect, rel=1e-13)
 
+    def test_large_order_matches_mpmath(self):
+        # the explicit Laguerre sum raised OverflowError at the first and
+        # returned inf at the second
+        with mpmath.workdps(30):
+            for n, t in ((150, 2.0), (100, 8.0)):
+                ref = mpmath.exp(n * t / 2) * mpmath.laguerre(n - 1, 1, -n * t) / n
+                assert free_lognormal_moment(n, t) == pytest.approx(float(ref), rel=1e-14)
+
+    def test_moment_beyond_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            free_lognormal_moment(101, 8.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             free_lognormal_moment(0, 1.0)
@@ -269,6 +282,12 @@ class TestMgfDispatch:
             )
             assert series_value.real == pytest.approx(quad, rel=1e-10)
             assert series_value.imag == pytest.approx(0.0, abs=1e-14)
+
+    def test_semicircle_mgf_on_imaginary_axis(self):
+        # E[e^(alpha X)] = 2 I_1(R alpha) / (R alpha) = J_1(8) / 4 at R alpha = 8i
+        value = mgf(Semicircle(2.0), 4j)
+        assert value.real == pytest.approx(float(mpmath.besselj(1, 8)) / 4, rel=1e-13)
+        assert value.imag == 0.0
 
     def test_uniform_mgf_closed_form(self):
         value = mgf(Uniform(-1, 2), 0.7)

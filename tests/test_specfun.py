@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freemoments.specfun import (
     DEFAULT_POLICY,
@@ -39,6 +44,17 @@ class TestLaguerre:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             laguerre(-1, 0.0, 1.0)
+
+    def test_large_degree_and_negative_argument(self):
+        # the explicit sum overflowed in (-x)**j here; the recurrence does not
+        with mpmath.workdps(30):
+            for n, x in ((149, -300.0), (99, -800.0), (60, -1200.0), (120, -0.1)):
+                ref = float(mpmath.laguerre(n, 1, x))
+                assert laguerre(n, 1.0, x) == pytest.approx(ref, rel=1e-13), (n, x)
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            laguerre(400, 1.0, -1e6)
 
 
 class TestKummer1F1:
@@ -88,6 +104,36 @@ class TestKummer1F1:
         value = kummer_1f1(1.2 + 0.5j, 2.0 + 0.1j, -1.0 + 2.0j)
         mirrored = kummer_1f1(1.2 - 0.5j, 2.0 - 0.1j, -1.0 - 2.0j)
         assert mirrored == pytest.approx(value.conjugate(), rel=1e-12)
+
+    def test_transform_check_compares_direct_with_reflected_sum(self):
+        # Re x < -1: the direct sum is 4e-9 off at the first point, the
+        # reflected one 9e-9 off at the second; a check that compares the
+        # reflected sum with itself passes both
+        assert not kummer_transform_check(1.04 - 3.78j, 1.86, -5.94 - 13.24j)
+        assert not kummer_transform_check(-4.31 + 6.67j, 5.5, -6 + 18.52j)
+
+    def test_cancellation_is_refused(self):
+        # mpmath gives -0.0792-0.628j; the terms reach 1e22 against a sum of 1e6
+        with pytest.raises(SeriesConvergenceError):
+            kummer_1f1(15.2615 + 19.0868j, 9.9776, 5.1682 + 38.5515j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=-20, max_value=20),
+        st.floats(min_value=-20, max_value=20),
+        st.floats(min_value=0.5, max_value=20),
+        st.floats(min_value=-10, max_value=10),
+        st.floats(min_value=-40, max_value=40),
+    )
+    def test_accurate_or_refused_against_mpmath(self, a_re, a_im, b, x_re, x_im):
+        a, x = complex(a_re, a_im), complex(x_re, x_im)
+        try:
+            value = kummer_1f1(a, b, x)
+        except SeriesConvergenceError:
+            return
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp1f1(a, b, x))
+        assert abs(value - ref) <= 1e-7 * abs(ref), (a, b, x)
 
     def test_transform_check_on_seeded_points(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
@@ -151,3 +197,15 @@ class TestBetaIntegral:
         for n in range(6):
             for k in range(6):
                 assert beta_integral_exact(n, k) == beta_integral_exact(k, n)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # only the quadrature oracle needs scipy.integrate; it imports it itself
+    code = (
+        "import sys, freemoments, freemoments.cli; "
+        "print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
