@@ -13,7 +13,6 @@ overflow).  Rationals are rendered as ``p/q`` strings, never floats.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -23,6 +22,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
+from . import freeconv
 from .exactcomb import (
     alternating_binomial_sum_check,
     rising_factorial,
@@ -35,14 +35,12 @@ from .freeconv import (
     density_grid,
     exp_pushforward_density,
     free_lognormal_support,
-    free_sum_cauchy,
     grid_moments,
 )
 from .moments import (
+    _fractional_moment_sums,
     additive_mgf,
     free_lognormal_moment,
-    free_lognormal_moment_alpha,
-    free_lognormal_moment_alpha_series,
     moment_polynomial,
     moment_polynomials_from_recursion,
     semicircle_uniform_moment,
@@ -193,15 +191,6 @@ def _render_rows(
     return out.getvalue()
 
 
-def _solver_defaults() -> dict:
-    signature = inspect.signature(free_sum_cauchy)
-    return {
-        name: parameter.default
-        for name, parameter in signature.parameters.items()
-        if parameter.default is not inspect.Parameter.empty
-    }
-
-
 # ---------------------------------------------------------------------------
 # moments
 
@@ -273,18 +262,17 @@ def cmd_nu(args: argparse.Namespace) -> int:
             rows.append(cells)
     else:
         params["alpha"] = _maybe_real(args.alpha)
-        columns = ["alpha", "hypergeometric", "series", "rel_diff"]
-        via_1f1 = free_lognormal_moment_alpha(args.alpha, args.t)
-        via_series = free_lognormal_moment_alpha_series(args.alpha, args.t)
-        rel = abs(via_1f1 - via_series) / (1.0 + abs(via_1f1))
+        columns = ["alpha", "direct", "reflected", "rel_diff"]
+        direct, reflected = _fractional_moment_sums(args.alpha, args.t)
+        rel = abs(direct - reflected) / (1.0 + abs(direct))
         if args.format == "table":
             shown = (
-                [_table_number(via_1f1.real), _table_number(via_series.real)]
-                if abs(via_1f1.imag) <= 1e-13 * (1 + abs(via_1f1.real))
-                else [str(via_1f1), str(via_series)]
+                [_table_number(direct.real), _table_number(reflected.real)]
+                if abs(direct.imag) <= 1e-13 * (1 + abs(direct.real))
+                else [str(direct), str(reflected)]
             )
         else:
-            shown = [_maybe_real(via_1f1), _maybe_real(via_series)]
+            shown = [_maybe_real(direct), _maybe_real(reflected)]
         rows = [[_maybe_real(args.alpha), *shown, f"{rel:.3e}"]]
 
     _write_output(args, _render_rows(args, "nu", params, columns, rows))
@@ -416,10 +404,9 @@ def _suite_theorem_main(
         if not 0.05 <= abs(alpha) <= 5.0:
             continue
         drawn += 1
-        via_1f1 = free_lognormal_moment_alpha(alpha, t)
-        via_series = free_lognormal_moment_alpha_series(alpha, t)
+        direct, reflected = _fractional_moment_sums(alpha, t)
         fractional_worst = max(
-            fractional_worst, abs(via_1f1 - via_series) / (1.0 + abs(via_1f1))
+            fractional_worst, abs(direct - reflected) / (1.0 + abs(direct))
         )
     fractional = (
         "fractional-moments",
@@ -545,7 +532,10 @@ def cmd_density(args: argparse.Namespace) -> int:
         "window": {"lo": x_lo, "hi": x_hi},
         "mass_estimate": output.mass_estimate,
         "support": {"lower": support.lower, "upper": support.upper},
-        "solver": _solver_defaults(),
+        "solver": {
+            "tolerance": freeconv._TOLERANCE,
+            "max_iterations": freeconv._MAX_ITERATIONS,
+        },
     }
 
     if args.format == "json":

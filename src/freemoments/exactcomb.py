@@ -13,12 +13,9 @@ from typing import NamedTuple, Union
 
 __all__ = [
     "LOG_SERIES_CAP",
-    "StirlingTable",
     "stirling_first",
     "binomial",
-    "generalized_binomial",
     "rising_factorial",
-    "falling_factorial",
     "stirling_via_log_series",
     "IdentityCheck",
     "verify_stirling_identity",
@@ -31,66 +28,35 @@ LOG_SERIES_CAP = 512
 Exact = Union[int, Fraction]
 
 
-class StirlingTable:
-    """Dense triangular table of signed Stirling numbers of the first kind.
-
-    Row ``n`` holds ``s(n, 0), ..., s(n, n)`` built bottom-up from
-    ``s(n + 1, k) = s(n, k - 1) - n * s(n, k)``.  Construction is the only
-    mutating phase; a finished table can be shared across threads freely.
-    """
-
-    __slots__ = ("max_n", "_rows")
-
-    def __init__(self, max_n: int) -> None:
-        if max_n < 0:
-            raise ValueError("max_n must be a natural number")
-        rows: list[list[int]] = [[1]]
-        for n in range(max_n):
-            prev = rows[n]
-            row = [0] * (n + 2)
-            for k in range(1, n + 2):
-                row[k] = prev[k - 1] - (n * prev[k] if k <= n else 0)
-            rows.append(row)
-        self.max_n = max_n
-        self._rows = rows
-
-    def value(self, n: int, k: int) -> int:
-        """``s(n, k)``; zero above the diagonal, IndexError past ``max_n``."""
-        if n < 0 or k < 0:
-            raise ValueError("indices must be natural numbers")
-        if k > n:
-            return 0
-        if n > self.max_n:
-            raise IndexError(f"table holds n <= {self.max_n}, requested {n}")
-        return self._rows[n][k]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if not 0 <= n <= self.max_n:
-            raise IndexError(f"table holds n <= {self.max_n}, requested {n}")
-        return tuple(self._rows[n])
+def _extended(rows: list[list[int]], max_n: int) -> list[list[int]]:
+    # a longer copy, rows n + 1 from s(n + 1, k) = s(n, k - 1) - n s(n, k)
+    rows = rows.copy()
+    for n in range(len(rows) - 1, max_n):
+        prev = rows[n]
+        rows.append([0] + [prev[k - 1] - n * prev[k] for k in range(1, n + 1)] + [prev[n]])
+    return rows
 
 
-_shared_table = StirlingTable(16)
-
-
-def _table_for(n: int) -> StirlingTable:
-    # grow geometrically so repeated scattered lookups stay amortized O(1)
-    global _shared_table
-    if n > _shared_table.max_n:
-        _shared_table = StirlingTable(max(n, 2 * _shared_table.max_n))
-    return _shared_table
+# Row n holds s(n, 0) .. s(n, n).  Growing rebinds the name to a longer copy
+# and never mutates a published list, so concurrent readers stay safe.
+_rows = _extended([[1]], 16)
 
 
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind ``s(n, k)``.
 
-    Memoized behind a module-level table; ``stirling_first(4, 2) == 11``.
+    Memoized in a module-level table of rows; ``stirling_first(4, 2) == 11``.
     """
+    global _rows
     if n < 0 or k < 0:
         raise ValueError("indices must be natural numbers")
     if k > n:
         return 0
-    return _table_for(n).value(n, k)
+    rows = _rows
+    if n >= len(rows):
+        # grow geometrically so repeated scattered lookups stay amortized O(1)
+        rows = _rows = _extended(rows, max(n, 2 * (len(rows) - 1)))
+    return rows[n][k]
 
 
 def binomial(n: int, k: int) -> int:
@@ -102,22 +68,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def generalized_binomial(alpha: Union[Exact, complex], k: int) -> Union[Fraction, complex]:
-    """``C(alpha, k) = alpha (alpha-1) ... (alpha-k+1) / k!`` for scalar alpha.
-
-    Exact Fraction for int/Fraction input, complex otherwise; agrees with
-    :func:`binomial` on natural alpha.
-    """
-    if k < 0:
-        raise ValueError("k must be a natural number")
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
-    num = alpha - alpha + 1  # multiplicative unit in alpha's arithmetic
-    for i in range(k):
-        num = num * (alpha - i)
-    return num / math.factorial(k)
-
-
 def rising_factorial(x: Union[Exact, complex], n: int) -> Union[Exact, complex]:
     """``x (x+1) ... (x+n-1)``, empty product 1, in the arithmetic of ``x``."""
     if n < 0:
@@ -125,16 +75,6 @@ def rising_factorial(x: Union[Exact, complex], n: int) -> Union[Exact, complex]:
     out = x - x + 1
     for i in range(n):
         out = out * (x + i)
-    return out
-
-
-def falling_factorial(x: Union[Exact, complex], n: int) -> Union[Exact, complex]:
-    """``x (x-1) ... (x-n+1)``, empty product 1."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    out = x - x + 1
-    for i in range(n):
-        out = out * (x - i)
     return out
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, IO, Union
+from typing import IO
 
 import numpy as np
 
@@ -32,13 +32,12 @@ __all__ = [
     "SupportInterval",
     "free_lognormal_support",
     "detect_support",
-    "expansion_moments",
 ]
 
 
 class SubordinationError(RuntimeError):
     """The Newton subordination solve did not converge within its budget of
-    steps (``max_iterations``)."""
+    10 000 vectorized steps."""
 
 
 class BranchError(ArithmeticError):
@@ -118,6 +117,11 @@ def cauchy_uniform(z: complex, lo: float, hi: float) -> complex:
 # the new root for Newton to converge in a few steps.
 _CONTINUATION = 32.0
 _EPS = float(np.finfo(float).eps)
+# Newton stopping rule, read at call time: a point stops when its step falls
+# below _TOLERANCE * max(1, |G|) or its residual reaches roundoff, and a
+# solve raises SubordinationError after _MAX_ITERATIONS vectorized steps.
+_TOLERANCE = 1e-13
+_MAX_ITERATIONS = 10_000
 
 
 def _newton_stage(
@@ -163,14 +167,7 @@ def _newton_stage(
     return budget
 
 
-def _subordination_cauchy(
-    z: np.ndarray,
-    radius: float,
-    lo: float,
-    hi: float,
-    tolerance: float,
-    max_iterations: int,
-) -> np.ndarray:
+def _subordination_cauchy(z: np.ndarray, radius: float, lo: float, hi: float) -> np.ndarray:
     """Vectorized G of ``Semicircle(radius) boxplus Uniform[lo, hi]`` at z.
 
     The semicircle's R-transform is ``c G`` with ``c = radius^2 / 4``, so G is
@@ -184,9 +181,9 @@ def _subordination_cauchy(
     x, eta = z.real, z.imag
     height = np.maximum(1.0, eta)
     g = 1.0 / (x + 1j * height - 0.5 * (lo + hi))
-    budget = max_iterations
+    budget = _MAX_ITERATIONS
     while True:
-        budget = _newton_stage(x + 1j * height, g, c, lo, hi, tolerance, budget)
+        budget = _newton_stage(x + 1j * height, g, c, lo, hi, _TOLERANCE, budget)
         if (height == eta).all():
             break
         height = np.maximum(height / _CONTINUATION, eta)
@@ -194,32 +191,22 @@ def _subordination_cauchy(
     return g
 
 
-def free_sum_cauchy(
-    z: complex,
-    radius: float,
-    lo: float,
-    hi: float,
-    *,
-    tolerance: float = 1e-13,
-    max_iterations: int = 10_000,
-) -> complex:
+def free_sum_cauchy(z: complex, radius: float, lo: float, hi: float) -> complex:
     """Cauchy transform of ``Semicircle(radius) boxplus Uniform[lo, hi]``.
 
     Subordination through the linear R-transform of the semicircle: G is the
     root of ``G = G_U(z - (radius^2/4) G)`` with ``Im G < 0``, found by
     Newton's method continued down in ``Im z`` from height 1.  A point stops
-    when its Newton step falls below ``tolerance * max(1, |G|)`` or its
-    residual reaches roundoff; ``max_iterations`` bounds the total number of
-    vectorized Newton steps.  ``lo == hi`` (point mass) and tiny ``radius``
-    reproduce the single-measure transforms.
+    when its Newton step falls below ``1e-13 * max(1, |G|)`` or its residual
+    reaches roundoff; a budget of 10 000 vectorized Newton steps bounds the
+    solve.  ``lo == hi`` (point mass) and tiny ``radius`` reproduce the
+    single-measure transforms.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if lo > hi:
         raise ValueError("need lo <= hi")
-    g = _subordination_cauchy(
-        _as_upper(z), radius, float(lo), float(hi), tolerance, max_iterations
-    )
+    g = _subordination_cauchy(_as_upper(z), radius, float(lo), float(hi))
     return complex(g.item())
 
 
@@ -287,25 +274,6 @@ class DensityGrid:
         for x, v in zip(self.abscissae, self.values):
             stream.write(f"{float(x)!r},{float(v)!r}\n")
 
-    @classmethod
-    def from_csv(cls, stream: IO[str], *, eta: float) -> "DensityGrid":
-        header = stream.readline().strip()
-        if header != "x,density":
-            raise ValueError(f"unexpected CSV header {header!r}")
-        xs: list[float] = []
-        vs: list[float] = []
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            sx, sv = line.split(",")
-            xs.append(float(sx))
-            vs.append(float(sv))
-        x = np.array(xs)
-        v = np.array(vs)
-        mass = float(np.trapezoid(v, x))
-        return cls(abscissae=x, values=v, eta=eta, mass_estimate=mass)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -314,16 +282,6 @@ class DensityGrid:
                 "eta": self.eta,
                 "mass_estimate": self.mass_estimate,
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityGrid":
-        payload = json.loads(text)
-        return cls(
-            abscissae=np.array(payload["abscissae"], dtype=float),
-            values=np.array(payload["values"], dtype=float),
-            eta=float(payload["eta"]),
-            mass_estimate=float(payload["mass_estimate"]),
         )
 
 
@@ -335,9 +293,6 @@ def density_grid(
     x_hi: float,
     points: int,
     eta: float,
-    *,
-    tolerance: float = 1e-13,
-    max_iterations: int = 10_000,
 ) -> DensityGrid:
     """Stieltjes inversion ``-Im G(x + i eta) / pi`` of the free sum on a grid.
 
@@ -352,9 +307,7 @@ def density_grid(
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = np.linspace(x_lo, x_hi, points)
-    g = _subordination_cauchy(
-        x + 1j * eta, radius, float(lo), float(hi), tolerance, max_iterations
-    )
+    g = _subordination_cauchy(x + 1j * eta, radius, float(lo), float(hi))
     values = -g.imag / math.pi
     mass = float(np.trapezoid(values, x))
     return DensityGrid(abscissae=x, values=values, eta=eta, mass_estimate=mass)
@@ -369,9 +322,6 @@ def grid_moments(
     points: int,
     eta: float,
     n_max: int,
-    *,
-    tolerance: float = 1e-13,
-    max_iterations: int = 10_000,
 ) -> list[float]:
     """Moments ``m_0 .. m_{n_max}`` of the free sum from its transform on a grid.
 
@@ -397,9 +347,7 @@ def grid_moments(
         raise ValueError("eta must be positive")
     x = np.linspace(x_lo, x_hi, points)
     z = x + 1j * eta
-    g = _subordination_cauchy(
-        z, radius, float(lo), float(hi), tolerance, max_iterations
-    )
+    g = _subordination_cauchy(z, radius, float(lo), float(hi))
     out: list[float] = []
     for n in range(n_max + 1):
         zn = z**n
@@ -448,38 +396,3 @@ def detect_support(
     return SupportInterval(
         lower=float(grid.abscissae[idx[0]]), upper=float(grid.abscissae[idx[-1]])
     )
-
-
-def expansion_moments(
-    transform: Callable[[complex], complex],
-    n_max: int,
-    *,
-    y_start: float = 8.0,
-    levels: int = 5,
-) -> list[float]:
-    """Moments ``m_0 .. m_{n_max}`` from the tail expansion of a Cauchy transform.
-
-    Samples ``h(y) = i y G(i y)`` on the doubling ladder ``y = y_start 2^j``
-    and extrapolates the even and odd parts of ``h = sum_k m_k (iy)^{-k}``
-    to ``y = infinity`` through the two real Vandermonde systems in
-    ``v = y^{-2}``.  A diagnostic for low orders: ``levels`` must exceed
-    ``n_max/2``, but deep ladders amplify roundoff through the tiny nodes
-    (the dual weights grow like the inverse node products), so 5 or 6 levels
-    is the accuracy sweet spot in doubles.
-    """
-    if n_max < 0:
-        raise ValueError("order must be a natural number")
-    if levels < n_max // 2 + 1:
-        raise ValueError("levels too small for the requested moment order")
-    y = y_start * 2.0 ** np.arange(levels)
-    h = np.array([1j * yy * transform(1j * yy) for yy in y])
-    v = y**-2.0
-    vander = np.vander(v, increasing=True)
-    even = np.linalg.solve(vander, h.real)  # (-1)^j m_{2j}
-    odd = np.linalg.solve(vander, -y * h.imag)  # (-1)^j m_{2j+1}
-    out: list[float] = []
-    for k in range(n_max + 1):
-        j = k // 2
-        coeff = even[j] if k % 2 == 0 else odd[j]
-        out.append(float((-1) ** j * coeff))
-    return out

@@ -31,14 +31,7 @@ from .measures import (
     Uniform,
 )
 from .ratpoly import RationalPolynomial
-from .specfun import (
-    DEFAULT_POLICY,
-    SeriesConvergenceError,
-    SeriesPolicy,
-    _series_1f1,
-    kummer_1f1,
-    laguerre,
-)
+from .specfun import SeriesConvergenceError, _series_1f1, kummer_1f1, laguerre
 
 __all__ = [
     "moment_polynomial",
@@ -48,7 +41,6 @@ __all__ = [
     "free_lognormal_moment_alpha",
     "free_lognormal_moment_alpha_series",
     "additive_mgf",
-    "additive_mgf_series",
     "MomentAgreement",
     "verify_exp_image_moments",
     "moment",
@@ -56,6 +48,21 @@ __all__ = [
 ]
 
 ExactScalar = Union[int, Fraction]
+
+# Largest relative gap |value - other| / (1 + |value|) accepted between the
+# direct and the Kummer-reflected fractional-moment sums, read at call time.
+_CROSS_CHECK_TOLERANCE = 1e-10
+
+
+def _stirling_weights(k: int) -> list[tuple[int, int, int]]:
+    """``(j, s(1+j, k+1-j), j! (1+j)!)`` for the nonzero Stirling numbers with
+    ``ceil(k/2) <= j <= k``: the weights of the closed moment forms."""
+    weights = []
+    for j in range((k + 1) // 2, k + 1):
+        s = stirling_first(1 + j, k + 1 - j)
+        if s:
+            weights.append((j, s, math.factorial(j) * math.factorial(1 + j)))
+    return weights
 
 
 def moment_polynomial(n: int) -> RationalPolynomial:
@@ -68,10 +75,8 @@ def moment_polynomial(n: int) -> RationalPolynomial:
         raise ValueError("order must be a natural number")
     coeffs = [Fraction(0)] * (n + 1)
     n_fact = math.factorial(n)
-    for j in range((n + 1) // 2, n + 1):
-        s = stirling_first(1 + j, n + 1 - j)
-        if s:
-            coeffs[j] = Fraction(n_fact * s, math.factorial(j) * math.factorial(1 + j))
+    for j, s, denominator in _stirling_weights(n):
+        coeffs[j] = Fraction(n_fact * s, denominator)
     return RationalPolynomial(coeffs)
 
 
@@ -126,14 +131,8 @@ def semicircle_uniform_moment(
     total = Fraction(0)
     for k in range(n + 1):
         inner = Fraction(0)
-        for j in range((k + 1) // 2, k + 1):
-            s = stirling_first(1 + j, k + 1 - j)
-            if s:
-                inner += (
-                    Fraction(s, math.factorial(j) * math.factorial(1 + j))
-                    * width ** (2 * j - k)
-                    * a ** (k - j)
-                )
+        for j, s, denominator in _stirling_weights(k):
+            inner += Fraction(s, denominator) * width ** (2 * j - k) * a ** (k - j)
         if inner:
             total += Fraction(c ** (n - k), math.factorial(n - k)) * inner
     return math.factorial(n) * total
@@ -154,26 +153,27 @@ def free_lognormal_moment(n: int, t: float) -> float:
     return value
 
 
-def free_lognormal_moment_alpha(
-    alpha: complex,
-    t: float,
-    policy: SeriesPolicy = DEFAULT_POLICY,
-    *,
-    cross_check_tolerance: float = 1e-10,
-) -> complex:
+def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]:
+    """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``."""
+    direct = free_lognormal_moment_alpha_series(alpha, t)
+    alpha = complex(alpha)
+    reflected = cmath.exp(-alpha * t / 2.0) * _series_1f1(1 + alpha, 2.0, alpha * t)
+    return direct, reflected
+
+
+def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
     """Fractional moment ``e^(alpha t / 2) 1F1(1 - alpha; 2; -alpha t)``.
 
     Sums two different series: the direct one in ``-alpha t`` and its Kummer
     reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``.  Returns the
     reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would, and
     raises :class:`SeriesConvergenceError` if the two disagree beyond
-    ``cross_check_tolerance`` relative to ``1 + |value|``.
+    ``1e-10`` relative to ``1 + |value|``.
     """
-    direct = free_lognormal_moment_alpha_series(alpha, t, policy)
+    direct, reflected = _fractional_moment_sums(alpha, t)
     alpha = complex(alpha)
-    reflected = cmath.exp(-alpha * t / 2.0) * _series_1f1(1 + alpha, 2.0, alpha * t, policy)
     value, other = (reflected, direct) if alpha.real * t > 1.0 else (direct, reflected)
-    if not abs(value - other) <= cross_check_tolerance * (1 + abs(value)):
+    if not abs(value - other) <= _CROSS_CHECK_TOLERANCE * (1 + abs(value)):
         raise SeriesConvergenceError(
             f"fractional-moment routes disagree at alpha={alpha}, t={t}: "
             f"{value} vs {other}"
@@ -181,24 +181,20 @@ def free_lognormal_moment_alpha(
     return value
 
 
-def free_lognormal_moment_alpha_series(
-    alpha: complex, t: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
-    """Fractional moment via ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``.
+def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
+    """Fractional moment by the direct series ``e^(alpha t/2) 1F1(1 - alpha; 2; -alpha t)``.
 
-    Term by term this is the direct series ``1F1(1 - alpha; 2; -alpha t)``.
+    Term by term this is ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``.
     """
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if t <= 0:
         raise ValueError("time must be positive")
-    return cmath.exp(alpha * t / 2.0) * _series_1f1(1 - alpha, 2.0, -alpha * t, policy)
+    return cmath.exp(alpha * t / 2.0) * _series_1f1(1 - alpha, 2.0, -alpha * t)
 
 
-def additive_mgf(
-    alpha: complex, t: float, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
+def additive_mgf(alpha: complex, t: float) -> complex:
     """``E[e^(alpha X)]`` for ``X ~ Semicircle(2 sqrt(t)) boxplus Uniform[-t, 0]``.
 
     Closed form ``1F1(1 - alpha; 2; -alpha t)``; at integer ``alpha = n`` this
@@ -209,27 +205,7 @@ def additive_mgf(
     alpha = complex(alpha)
     if alpha == 0:
         return 1 + 0j
-    return kummer_1f1(1 - alpha, 2.0, -alpha * t, policy)
-
-
-def additive_mgf_series(
-    alpha: complex, t: float, orders: int = 40
-) -> tuple[complex, float]:
-    """Truncated ``sum_k alpha^k m_k(t) / k!`` with a crude remainder estimate.
-
-    Returns ``(value, |last term|)``; a slowly decaying last term means the
-    truncation order was too small for the requested ``(alpha, t)``.
-    """
-    if orders < 0:
-        raise ValueError("orders must be a natural number")
-    alpha = complex(alpha)
-    total = 0 + 0j
-    last = 0.0
-    for k in range(orders + 1):
-        term = alpha**k * moment_polynomial(k)(float(t)) / math.factorial(k)
-        total += term
-        last = abs(term)
-    return total, last
+    return kummer_1f1(1 - alpha, 2.0, -alpha * t)
 
 
 @dataclass(frozen=True)
@@ -374,14 +350,12 @@ def _free_sum_moment(measure: FreeSum, order: int) -> Fraction:
     )
 
 
-def _semicircle_mgf(radius: float, alpha: complex, policy: SeriesPolicy) -> complex:
+def _semicircle_mgf(radius: float, alpha: complex) -> complex:
     # 0F1(; 2; x) = sum_k x^k / (k! (k+1)!) with x = (radius * alpha / 2)^2
-    return _series_1f1(None, 2.0, (radius * alpha / 2.0) ** 2, policy)
+    return _series_1f1(None, 2.0, (radius * alpha / 2.0) ** 2)
 
 
-def mgf(
-    measure: MeasureSpec, alpha: complex, policy: SeriesPolicy = DEFAULT_POLICY
-) -> complex:
+def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     """``E[e^(alpha X)]`` for the polynomial measure family.
 
     Free sums of a semicircle with a uniform law reduce to the closed
@@ -398,24 +372,24 @@ def mgf(
             return cmath.exp(alpha * lo) if lo == hi else 1 + 0j
         return (cmath.exp(alpha * hi) - cmath.exp(alpha * lo)) / (alpha * (hi - lo))
     if isinstance(measure, Semicircle):
-        return _semicircle_mgf(float(measure.radius), alpha, policy)
+        return _semicircle_mgf(float(measure.radius), alpha)
     if isinstance(measure, Scaled):
-        return mgf(measure.inner, alpha * complex(measure.factor), policy)
+        return mgf(measure.inner, alpha * complex(measure.factor))
     if isinstance(measure, FreeSum):
         semicircle, uniform, shift = _free_sum_components(measure.parts)
         shift_factor = cmath.exp(alpha * float(shift))
         if semicircle is None and uniform is None:
             return shift_factor
         if semicircle is None:
-            return shift_factor * mgf(uniform, alpha, policy)
+            return shift_factor * mgf(uniform, alpha)
         if uniform is None:
-            return shift_factor * _semicircle_mgf(float(semicircle.radius), alpha, policy)
+            return shift_factor * _semicircle_mgf(float(semicircle.radius), alpha)
         a = (float(semicircle.radius) / 2.0) ** 2
         width = float(uniform.hi) - float(uniform.lo)
         gamma = a / width
         tau = width * width / a
         upper = cmath.exp(alpha * float(uniform.hi))
-        return shift_factor * upper * additive_mgf(alpha * gamma, tau, policy)
+        return shift_factor * upper * additive_mgf(alpha * gamma, tau)
     raise TypeError(
         f"exponential moments not defined here for {type(measure).__name__}"
     )

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import IO, Literal
 
 import numpy as np
-import scipy.linalg
 
 from .moments import free_lognormal_moment, semicircle_uniform_moment
 
@@ -180,6 +179,8 @@ def sample_multiplicative(
     entrywise, so the Ito correction calibrates to the zero matrix and the
     residual per-step bias on moments is O(delta^2), O(delta * t) in total.
     """
+    import scipy.linalg  # imported here: nothing else needs scipy.linalg
+
     n, steps = config.size, config.steps
     rng = _rng(config.seed, trial)
     delta = (config.time / 2.0) / steps

