@@ -8,6 +8,9 @@ grows) to measures this package computes exactly:
   semicircle of radius ``2 sqrt(t)`` and ``Uniform[-t, t]``.
 * multiplicative: ``H = G G*`` for a matrix geometric Brownian motion
   ``G`` on GL(N, C); the spectrum approaches the free log-normal law.
+  Each increment is a matrix exponential, taken by a truncated Taylor
+  series in Paterson-Stockmeyer form whose degree a rigorous remainder
+  bound picks, so sampling needs numpy alone.
 
 Sampling is deterministic given ``(seed, trial)``: per-trial streams are
 spawned from a counter-based Philox generator, so results do not depend
@@ -16,6 +19,7 @@ on scheduling and trials may run in any order or in parallel.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,9 +46,16 @@ __all__ = [
 
 _MAX_SEED = 2**64 - 1
 
+_UNIT_ROUNDOFF = 2.0**-53
+_TAYLOR_DEGREES = (4, 8, 12, 16)
+# 1/j! through the last term that the remainder bound of the top degree reads
+_INVERSE_FACTORIALS = tuple(
+    1.0 / math.factorial(j) for j in range(_TAYLOR_DEGREES[-1] + 5)
+)
+
 
 class PositivityError(ArithmeticError):
-    """A multiplicative sample produced a nonpositive eigenvalue.
+    """A multiplicative sample overflowed or produced a nonpositive eigenvalue.
 
     ``G G*`` is positive definite in exact arithmetic; a violation signals
     a discretization too coarse for the requested time horizon (or a
@@ -132,6 +143,70 @@ def _rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
+def _taylor_tail(norms: list[float], degree: int) -> float:
+    """Bound on ``||sum_{j > degree} Y^j / j!||_F`` from ``norms[r-1] >= ||Y^r||_F``.
+
+    ``norms`` bounds the first four powers.  The Frobenius norm is
+    submultiplicative, so ``||Y^(4a+r)|| <= ||Y^4||^a ||Y^r||``; past the
+    first block of four terms each block shrinks at least by the factor
+    ``||Y^4|| / (degree + 2)^4``.
+    """
+    ratio = norms[3] / (degree + 2) ** 4
+    if ratio >= 1.0:
+        return math.inf
+    block = norms[3] ** (degree // 4) * sum(
+        bound * _INVERSE_FACTORIALS[degree + r] for r, bound in enumerate(norms, 1)
+    )
+    return block / (1.0 - ratio)
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """``exp(x)`` by a Taylor polynomial evaluated by Paterson-Stockmeyer.
+
+    From the Frobenius norms of ``x, x^2, x^3, x^4`` it takes the smallest
+    scaling ``Y = 2^-s x`` and then the smallest degree on
+    ``_TAYLOR_DEGREES`` whose remainder bound (``_taylor_tail``) is at most
+    unit roundoff relative to ``sqrt(N) e^(-||Y||_F)``, a lower bound of
+    ``||e^Y||_F`` (the singular values of ``e^Y`` are at least
+    ``1 / ||e^-Y||_2``).  The polynomial is evaluated by Horner's rule in
+    ``Y^4``, which costs ``degree/4 - 1`` products after the three that form
+    the powers, and squared ``s`` times.  Returns NaNs when a power of ``x``
+    overflows.
+    """
+    n = x.shape[0]
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    norms = [float(np.linalg.norm(p)) for p in (x, x2, x3, x4)]
+    if not math.isfinite(sum(norms)):
+        return np.full_like(x, math.nan)
+    s, degree = next(
+        (s, m)
+        for s in itertools.count()
+        for m in _TAYLOR_DEGREES
+        if _taylor_tail([math.ldexp(b, -r * s) for r, b in enumerate(norms, 1)], m)
+        <= _UNIT_ROUNDOFF * math.sqrt(n) * math.exp(-math.ldexp(norms[0], -s))
+    )
+    if s:
+        x, x2, x3, x4 = (
+            math.ldexp(1.0, -r * s) * p for r, p in enumerate((x, x2, x3, x4), 1)
+        )
+    c = _INVERSE_FACTORIALS
+    e = c[degree] * x4
+    # one reused buffer: fresh temporaries cost about as much as the
+    # products themselves at N ~ 100
+    term = np.empty_like(x)
+    for k in range(degree // 4 - 1, -1, -1):
+        for r, p in enumerate((x, x2, x3), 1):
+            e += np.multiply(p, c[4 * k + r], out=term)
+        e.flat[:: n + 1] += c[4 * k]
+        if k:
+            e = e @ x4
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def additive_drift(size: int, time: float) -> np.ndarray:
     """Drift eigenvalues ``(t/N)(1-N, 3-N, ..., N-1)``: mean 0, max < t."""
     return (time / size) * np.arange(1 - size, size, 2, dtype=float)
@@ -172,15 +247,17 @@ def sample_multiplicative(
 ) -> EmpiricalSpectrum:
     """Spectrum of ``H = G G*`` after ``steps`` left increments of ``G``.
 
-    Each step multiplies by ``expm(dC)`` where ``dC`` has i.i.d. centered
+    Each step multiplies by ``exp(dC)`` where ``dC`` has i.i.d. centered
     complex Gaussian entries of variance ``delta/N``, ``delta = (t/2)/steps``
     (the E tr H benchmark e^{t/2} fixes the horizon t/2).  No deterministic
     compensator is subtracted: for these increments ``E[dC^2] = 0``
     entrywise, so the Ito correction calibrates to the zero matrix and the
     residual per-step bias on moments is O(delta^2), O(delta * t) in total.
+    The exponential is a Taylor polynomial whose truncation error is bounded
+    by unit roundoff (see ``_expm``), so samples differ from those of an
+    exact exponential only by rounding.  Raises :class:`PositivityError`
+    when ``H`` overflows or has a nonpositive eigenvalue.
     """
-    import scipy.linalg  # imported here: nothing else needs scipy.linalg
-
     n, steps = config.size, config.steps
     rng = _rng(config.seed, trial)
     delta = (config.time / 2.0) / steps
@@ -188,9 +265,14 @@ def sample_multiplicative(
     g = np.eye(n, dtype=complex)
     for _ in range(steps):
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = g @ scipy.linalg.expm(scale * raw)
+        g = g @ _expm(scale * raw)
     h = g @ g.conj().T
     h = (h + h.conj().T) / 2.0
+    if not np.isfinite(h).all():
+        raise PositivityError(
+            f"G G* overflowed: discretization too coarse "
+            f"(steps={steps} for time={config.time})"
+        )
     eigs = np.linalg.eigvalsh(h)
     if eigs[0] <= 0:
         raise PositivityError(

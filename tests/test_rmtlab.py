@@ -4,8 +4,10 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from freemoments.moments import free_lognormal_moment, semicircle_uniform_moment
 from freemoments.rmtlab import (
@@ -13,6 +15,7 @@ from freemoments.rmtlab import (
     EmpiricalSpectrum,
     MultiplicativeModelConfig,
     PositivityError,
+    _expm,
     additive_drift,
     additive_matrix,
     convergence_report,
@@ -132,6 +135,13 @@ class TestMultiplicativeModel:
         with pytest.raises(PositivityError):
             sample_multiplicative(config)
 
+    def test_overflow_raises(self):
+        # G G* past the float range is refused like a nonpositive eigenvalue
+        config = MultiplicativeModelConfig(size=8, time=1e6, steps=1, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(PositivityError):
+                sample_multiplicative(config)
+
     def test_first_moment_benchmark(self):
         # E tr H / N -> e^{t/2}; modest size keeps this quick
         config = MultiplicativeModelConfig(size=80, time=1.0, steps=40, seed=7)
@@ -140,6 +150,70 @@ class TestMultiplicativeModel:
             for k in range(12)
         ]
         assert np.mean(means) == pytest.approx(math.exp(0.5), rel=0.03)
+
+
+def _philox(seed: int, trial: int) -> np.random.Generator:
+    # the sampler's per-trial stream, rebuilt here so replays do not use it
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+    return np.random.Generator(np.random.Philox(sequence))
+
+
+def _increment(rng: np.random.Generator, size: int, delta: float) -> np.ndarray:
+    # the sampler's exponent, entries of variance delta/N, drawn as it draws them
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return math.sqrt(delta / (2.0 * size)) * raw
+
+
+def _rel_err(value: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.linalg.norm(value - reference) / np.linalg.norm(reference))
+
+
+def _mpmath_expm(x: np.ndarray) -> np.ndarray:
+    with mpmath.workdps(30):
+        return np.array(mpmath.expm(mpmath.matrix(x.tolist())).tolist(), dtype=complex)
+
+
+class TestTaylorExponential:
+    def test_matches_mpmath_at_30_digits(self):
+        # delta = sigma^2 runs from below the sampler's steps to norms that
+        # need scaling and squaring (sigma = 20)
+        for size in (1, 2, 5, 8):
+            for sigma in (1e-3, 0.05, 0.5, 3.0, 20.0):
+                x = _increment(_philox(5, size), size, sigma**2)
+                assert _rel_err(_expm(x), _mpmath_expm(x)) <= 1e-14, (size, sigma)
+
+    def test_matches_scipy_at_sampler_sizes(self):
+        for size in (64, 126, 300):
+            for delta in (2.5e-3, 0.05):
+                x = _increment(_philox(17, size), size, delta)
+                assert _rel_err(_expm(x), scipy.linalg.expm(x)) <= 1e-13, (size, delta)
+
+    def test_scaling_and_squaring(self):
+        # the one increment of test_positivity_violation_raises: delta = 1000
+        # gives ||x||_F ~ 126, far past what degree 16 reaches unscaled
+        x = _increment(_philox(0, 0), 16, 1000.0)
+        result = _expm(x)
+        assert np.isfinite(result).all()
+        assert _rel_err(result, _mpmath_expm(x)) <= 1e-13
+
+    def test_overflowing_powers_give_nan(self):
+        x = np.full((4, 4), 1e100, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_expm(x)).all()
+
+    def test_sampler_replays_with_scipy_expm(self):
+        # montecarlo-sized (delta = 0.05) and criterion-9-sized (delta =
+        # 2.5e-3) steps; the draws are the sampler's, only expm differs
+        for size, time, steps in ((64, 2.0, 20), (32, 1.0, 200)):
+            config = MultiplicativeModelConfig(size=size, time=time, steps=steps, seed=23)
+            rng = _philox(23, 4)
+            g = np.eye(size, dtype=complex)
+            for _ in range(steps):
+                g = g @ scipy.linalg.expm(_increment(rng, size, (time / 2.0) / steps))
+            h = g @ g.conj().T
+            expected = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+            spectrum = sample_multiplicative(config, trial=4)
+            np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=1e-12, atol=0)
 
 
 class TestEmpiricalMoments:
