@@ -131,33 +131,32 @@ def verify_stirling_identity(l: int, m: int) -> IdentityCheck:
 
         C(m, k) C(m, 1+k) s(1+k, n) s(m-k, l+1-n) / C(l+m-2, n+k-1)
 
-    scaled by ``(m+1)/(l+m-1)``.  Terms whose Stirling factor vanishes are
-    skipped before the binomial is inverted, so the inverted binomial is only
-    ever evaluated where the summand is genuinely nonzero; a vanishing
-    binomial there would be a transcription bug and raises.
+    scaled by ``(m+1)/(l+m-1)``.  The sum runs only where both Stirling
+    factors are nonzero, so the inverted binomial is only ever taken where
+    the summand is genuinely nonzero; a vanishing binomial there would be a
+    transcription bug and raises.  The integer numerators are added up per
+    binomial and then over the lcm of the binomials, so the right side is
+    one ``Fraction``, normalised once.
     """
     if l < 1 or m < 1:
         raise ValueError("identity range is l >= 1, m >= 1")
     lhs = Fraction(2 * l * stirling_first(1 + m, 1 + l))
-    total = Fraction(0)
-    for n in range(1, l + 1):
-        for k in range(m):
-            s_left = stirling_first(1 + k, n)
-            if s_left == 0:
-                continue
-            s_right = stirling_first(m - k, l + 1 - n)
-            if s_right == 0:
-                continue
-            denom = binomial(l + m - 2, n + k - 1)
-            if denom == 0:
+    # numerators summed per inverted binomial C(l+m-2, d), d = n+k-1
+    inverted = [binomial(l + m - 2, d) for d in range(l + m - 1)]
+    sums = [0] * (l + m - 1)
+    for k in range(m):
+        weight = binomial(m, k) * binomial(m, 1 + k)
+        # s(1+k, n) s(m-k, l+1-n) != 0 exactly for l+1-(m-k) <= n <= 1+k
+        for n in range(max(1, l + 1 - m + k), min(l, 1 + k) + 1):
+            if inverted[n + k - 1] == 0:
                 raise ZeroDivisionError(
                     "inverted binomial vanished on a nonzero summand "
                     f"(l={l}, m={m}, n={n}, k={k})"
                 )
-            total += Fraction(
-                binomial(m, k) * binomial(m, 1 + k) * s_left * s_right, denom
-            )
-    rhs = Fraction(m + 1, l + m - 1) * total
+            sums[n + k - 1] += weight * stirling_first(1 + k, n) * stirling_first(m - k, l + 1 - n)
+    common = math.lcm(*inverted)
+    total = sum(num * (common // denom) for num, denom in zip(sums, inverted))
+    rhs = Fraction((m + 1) * total, (l + m - 1) * common)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 
 

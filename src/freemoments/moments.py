@@ -10,6 +10,10 @@ Two deliberately independent routes exist for the time-coupled moments: a
 closed form in Stirling numbers and a quadratic recursion derived from the
 time evolution of the pair.  The recursion route never touches Stirling
 numbers, so the two implementations can act as oracles for each other.
+
+The exact kernels sum integer numerators over one common denominator and
+build each returned ``Fraction`` once, instead of normalising a ``Fraction``
+at every term; they return the same ``Fraction`` values.
 """
 from __future__ import annotations
 
@@ -54,15 +58,11 @@ ExactScalar = Union[int, Fraction]
 _CROSS_CHECK_TOLERANCE = 1e-10
 
 
-def _stirling_weights(k: int) -> list[tuple[int, int, int]]:
-    """``(j, s(1+j, k+1-j), j! (1+j)!)`` for the nonzero Stirling numbers with
-    ``ceil(k/2) <= j <= k``: the weights of the closed moment forms."""
-    weights = []
-    for j in range((k + 1) // 2, k + 1):
-        s = stirling_first(1 + j, k + 1 - j)
-        if s:
-            weights.append((j, s, math.factorial(j) * math.factorial(1 + j)))
-    return weights
+def _stirling_weights(k: int) -> list[tuple[int, int]]:
+    """``(j, s(1+j, k+1-j))`` for ``ceil(k/2) <= j <= k``, the range where the
+    Stirling number is nonzero: the numerators of the closed moment forms,
+    whose denominators are ``j! (1+j)!``."""
+    return [(j, stirling_first(1 + j, k + 1 - j)) for j in range((k + 1) // 2, k + 1)]
 
 
 def moment_polynomial(n: int) -> RationalPolynomial:
@@ -75,8 +75,8 @@ def moment_polynomial(n: int) -> RationalPolynomial:
         raise ValueError("order must be a natural number")
     coeffs = [Fraction(0)] * (n + 1)
     n_fact = math.factorial(n)
-    for j, s, denominator in _stirling_weights(n):
-        coeffs[j] = Fraction(n_fact * s, denominator)
+    for j, s in _stirling_weights(n):
+        coeffs[j] = Fraction(n_fact * s, math.factorial(j) * math.factorial(1 + j))
     return RationalPolynomial(coeffs)
 
 
@@ -91,24 +91,52 @@ def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
     seeded by ``c(0, 0) = 1``, ``c(n, 0) = 0`` and closed by the diagonal
     ``c(n, n) = (-1)^n / (1 + n)``.  No Stirling numbers anywhere, which is
     the point: this is the oracle for :func:`moment_polynomial`.
+
+    With ``a = j+l-1`` and ``b = n-l-j-1`` the double sum is the coefficient
+    of ``t^(k-1)`` in ``sum_{a+b=n-2} m_a(t) m_b(t)``, since ``c(a, l) = 0``
+    for ``l > a``.  Each row is kept as integer numerators over the lcm of its
+    denominators, so a row costs one integer Cauchy product per pair
+    ``a <= b`` and one ``Fraction`` per coefficient.
     """
     if n_max < 0:
         raise ValueError("order must be a natural number")
-    table: list[list[Fraction]] = []
+    polynomials = []
+    numerators: list[list[int]] = []  # row a is numerators[a] / denominators[a]
+    denominators: list[int] = []
     for n in range(n_max + 1):
         row = [Fraction(0)] * (n + 1)
-        if n == 0:
-            row[0] = Fraction(1)
-        else:
-            row[n] = Fraction((-1) ** n, 1 + n)
-            for k in range(1, n):
-                acc = Fraction(0)
-                for l in range(k):
-                    for j in range(1, n - k + 1):
-                        acc += table[j + l - 1][l] * table[n - l - j - 1][k - 1 - l]
-                row[k] = Fraction(n, 2 * (n - k)) * acc
-        table.append(row)
-    return [RationalPolynomial(row) for row in table]
+        row[n] = Fraction((-1) ** n, 1 + n)
+        # acc[k-1] / common = [t^(k-1)] sum_{a+b=n-2} m_a m_b, pairs a <= b
+        pairs = range(n // 2)
+        common = math.lcm(*(denominators[a] * denominators[n - 2 - a] for a in pairs))
+        acc = [0] * (n - 1)
+        for a in pairs:
+            b = n - 2 - a
+            scale = common // (denominators[a] * denominators[b]) * (1 if a == b else 2)
+            right = numerators[b]
+            for i, x in enumerate(numerators[a]):
+                if x:
+                    x *= scale
+                    for degree, y in enumerate(right, i):
+                        if y:
+                            acc[degree] += x * y
+        for k in range(1, n):
+            row[k] = Fraction(n * acc[k - 1], 2 * (n - k) * common)
+        denominator = math.lcm(*(c.denominator for c in row))
+        numerators.append([c.numerator * (denominator // c.denominator) for c in row])
+        denominators.append(denominator)
+        polynomials.append(RationalPolynomial(row))
+    return polynomials
+
+
+def _scaled_powers(x: Fraction, n: int) -> list[int]:
+    """``x^e`` over the denominator ``q^n`` of ``x^n``: ``p^e q^(n-e)``, e = 0..n."""
+    p, q = x.numerator, x.denominator
+    up, down = [1], [1]
+    for _ in range(n):
+        up.append(up[-1] * p)
+        down.append(down[-1] * q)
+    return [u * d for u, d in zip(up, reversed(down))]
 
 
 def semicircle_uniform_moment(
@@ -118,7 +146,11 @@ def semicircle_uniform_moment(
 
     ``a > 0``, ``b <= c`` (``b == c`` collapses the uniform to a point mass).
     The closed form is an outer binomial shift by ``c`` of the inner Stirling
-    sum in the interval width; ``0^0 = 1`` conventions apply throughout.
+    sum in the interval width; ``0^0 = 1`` conventions apply throughout.  The
+    terms are summed as integers over the one denominator
+    ``n! (n+1)! (q_a q_w q_c)^n`` of the denominators ``q`` of ``a``, the
+    width and ``c``; it is a multiple of every term's, because ``j! (1+j)!``
+    divides ``n! (n+1)!`` for ``j <= n``.
     """
     if n < 0:
         raise ValueError("order must be a natural number")
@@ -128,14 +160,20 @@ def semicircle_uniform_moment(
     if b > c:
         raise ValueError("need b <= c")
     width = c - b
-    total = Fraction(0)
+    a_pow, w_pow, c_pow = (_scaled_powers(x, n) for x in (a, width, c))
+    weight = [1] * (n + 1)  # n! (n+1)! / (j! (1+j)!)
+    for j in range(n, 0, -1):
+        weight[j - 1] = weight[j] * j * (j + 1)
+    total = 0
+    falling = 1  # n! / (n-k)!
     for k in range(n + 1):
-        inner = Fraction(0)
-        for j, s, denominator in _stirling_weights(k):
-            inner += Fraction(s, denominator) * width ** (2 * j - k) * a ** (k - j)
-        if inner:
-            total += Fraction(c ** (n - k), math.factorial(n - k)) * inner
-    return math.factorial(n) * total
+        inner = 0
+        for j, s in _stirling_weights(k):
+            inner += s * weight[j] * w_pow[2 * j - k] * a_pow[k - j]
+        total += falling * c_pow[n - k] * inner
+        falling *= n - k
+    denominator = weight[0] * (a.denominator * width.denominator * c.denominator) ** n
+    return Fraction(total, denominator)
 
 
 def free_lognormal_moment(n: int, t: float) -> float:

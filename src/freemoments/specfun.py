@@ -81,10 +81,12 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
     """The package's one series loop: ``1F1(a; b; x)``, or ``0F1(; b; x)`` for ``a=None``.
 
     Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A terminating
-    series that reaches ``a + j == 0`` is returned there, before any pole in
-    ``b``.  A sum whose partial sum stops being finite, or whose largest term
-    exceeds ``2**26`` times its value (more than half of the double-precision
-    digits lost to cancellation), raises :class:`SeriesConvergenceError`.
+    series ends at ``a + j == 0``, before any pole in ``b``.  A sum whose
+    partial sum stops being finite, or whose largest term exceeds ``2**26``
+    times its value (more than half of the double-precision digits lost to
+    cancellation), raises :class:`SeriesConvergenceError`; a terminating sum
+    that fails the second test is summed again exactly instead, when ``b``
+    and ``x`` are real (:func:`_exact_polynomial_1f1`).
     """
     term = total = 1 + 0j
     largest = 1.0
@@ -93,6 +95,8 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
         if a is None:
             term = term * x / ((b + j) * (j + 1))
         elif a + j == 0:
+            if largest > _CANCELLATION_LIMIT * abs(total):
+                return _exact_polynomial_1f1(j, b, x)
             return total
         else:
             term = term * ((a + j) * x) / ((b + j) * (j + 1))
@@ -121,13 +125,35 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
     )
 
 
+def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:
+    """``1F1(-n; b; x)`` re-summed in ``Fraction`` and rounded once.
+
+    For a terminating sum the float kernel cancelled: every float is a
+    rational, so for real ``b`` and ``x`` the exact sum exists, exact zeros
+    included.  Complex inputs raise :class:`SeriesConvergenceError`.
+    """
+    b, x = complex(b), complex(x)
+    if b.imag or x.imag:
+        raise SeriesConvergenceError(
+            f"series lost over half its digits to cancellation (a={-n}, b={b}, x={x})"
+        )
+    b_q, x_q = Fraction(b.real), Fraction(x.real)
+    term = total = Fraction(1)
+    for j in range(n):
+        term = term * (j - n) * x_q / ((b_q + j) * (j + 1))
+        total += term
+    return complex(float(total))
+
+
 def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     """Confluent hypergeometric function ``sum_j (a)_j / (b)_j x^j / j!``.
 
     Rising-factorial convention via the term recursion
     ``term_{j+1} = term_j (a+j) x / ((b+j)(j+1))``.  Nonpositive-integer ``a``
-    gives a polynomial, summed directly; otherwise, for ``Re x < -1``, the
-    reflection ``e^x 1F1(b-a; b; -x)`` avoids alternating-series cancellation.
+    gives a polynomial, summed directly (exactly, then rounded once, where
+    the float sum cancels and ``b``, ``x`` are real); otherwise, for
+    ``Re x < -1``, the reflection ``e^x 1F1(b-a; b; -x)`` avoids
+    alternating-series cancellation.
     Nonpositive-integer ``b`` is a pole unless the numerator terminates first.
     """
     a, b, x = complex(a), complex(b), complex(x)

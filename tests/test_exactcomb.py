@@ -41,6 +41,23 @@ def falling_factorial_coefficients(n: int) -> list[int]:
     return coeffs
 
 
+def fraction_loop_identity(l: int, m: int) -> tuple[Fraction, Fraction]:
+    """Both sides of ``verify_stirling_identity`` with one ``Fraction`` per
+    term: the reference the integer-numerator kernel must reproduce bit for bit."""
+    lhs = Fraction(2 * l * stirling_first(1 + m, 1 + l))
+    total = Fraction(0)
+    for n in range(1, l + 1):
+        for k in range(m):
+            s_left = stirling_first(1 + k, n)
+            s_right = stirling_first(m - k, l + 1 - n)
+            if s_left and s_right:
+                total += Fraction(
+                    binomial(m, k) * binomial(m, 1 + k) * s_left * s_right,
+                    binomial(l + m - 2, n + k - 1),
+                )
+    return lhs, Fraction(m + 1, l + m - 1) * total
+
+
 class TestStirlingFirst:
     def test_matches_falling_factorial_expansion(self):
         for n in range(21):
@@ -123,6 +140,15 @@ class TestStirlingIdentity:
             for m in range(1, 11):
                 outcome = verify_stirling_identity(l, m)
                 assert outcome.equal, (l, m, outcome)
+
+    def test_matches_fraction_loop_bit_for_bit(self):
+        for l in range(1, 41):
+            for m in range(1, 41):
+                outcome = verify_stirling_identity(l, m)
+                lhs, rhs = fraction_loop_identity(l, m)
+                for ours, ref in ((outcome.lhs, lhs), (outcome.rhs, rhs)):
+                    assert type(ours) is Fraction, (l, m)
+                    assert (ours.numerator, ours.denominator) == (ref.numerator, ref.denominator), (l, m)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

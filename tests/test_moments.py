@@ -10,6 +10,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freemoments.exactcomb import stirling_first
 from freemoments.measures import (
     Dirac,
     ExpImage,
@@ -37,6 +38,50 @@ from freemoments.specfun import SeriesConvergenceError
 small_rationals = st.fractions(min_value=-4, max_value=4)
 
 
+def fraction_loop_recursion(n_max: int) -> list[list[Fraction]]:
+    """The quadratic recursion with one ``Fraction`` product per term: the
+    reference the integer-numerator kernel must reproduce bit for bit."""
+    table: list[list[Fraction]] = []
+    for n in range(n_max + 1):
+        row = [Fraction(0)] * (n + 1)
+        if n == 0:
+            row[0] = Fraction(1)
+        else:
+            row[n] = Fraction((-1) ** n, 1 + n)
+            for k in range(1, n):
+                acc = Fraction(0)
+                for l in range(k):
+                    for j in range(1, n - k + 1):
+                        acc += table[j + l - 1][l] * table[n - l - j - 1][k - 1 - l]
+                row[k] = Fraction(n, 2 * (n - k)) * acc
+        table.append(row)
+    return table
+
+
+def fraction_loop_moment(n: int, a, b, c) -> Fraction:
+    """The closed form of ``semicircle_uniform_moment`` with one ``Fraction``
+    product per term: the bit-for-bit reference of the integer kernel."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    width = c - b
+    total = Fraction(0)
+    for k in range(n + 1):
+        inner = Fraction(0)
+        for j in range((k + 1) // 2, k + 1):
+            weight = Fraction(
+                stirling_first(1 + j, k + 1 - j), math.factorial(j) * math.factorial(1 + j)
+            )
+            inner += weight * width ** (2 * j - k) * a ** (k - j)
+        if inner:
+            total += Fraction(c ** (n - k), math.factorial(n - k)) * inner
+    return math.factorial(n) * total
+
+
+def as_pairs(values) -> list[tuple[int, int]]:
+    """Numerators and denominators of Fractions, so equal lists are equal bit for bit."""
+    assert all(type(v) is Fraction for v in values)
+    return [(v.numerator, v.denominator) for v in values]
+
+
 class TestMomentPolynomials:
     def test_low_orders(self):
         assert moment_polynomial(0) == RationalPolynomial([1])
@@ -55,9 +100,14 @@ class TestMomentPolynomials:
                 assert poly.coefficient(k) == 0
 
     def test_recursion_oracle(self):
-        recursion = moment_polynomials_from_recursion(12)
-        for n in range(13):
+        recursion = moment_polynomials_from_recursion(60)
+        for n in range(61):
             assert moment_polynomial(n) == recursion[n]
+
+    def test_recursion_matches_fraction_loop_bit_for_bit(self):
+        reference = fraction_loop_recursion(24)
+        for poly, row in zip(moment_polynomials_from_recursion(24), reference, strict=True):
+            assert as_pairs(poly.coefficients) == as_pairs(row)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +163,21 @@ class TestSemicircleUniformMoment:
         b, c = min(b, c), max(b, c)
         scaled = semicircle_uniform_moment(n, factor**2 * a, factor * b, factor * c)
         assert scaled == factor**n * semicircle_uniform_moment(n, a, b, c)
+
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            (Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3)),  # non-dyadic
+            (0.1, -0.3, 0.7),  # floats: large power-of-two denominators
+            (Fraction(1, 3), Fraction(5, 7), Fraction(5, 7)),  # b == c
+            (2, Fraction(-1, 3), 0),  # c == 0
+            (Fraction(7, 5), 0, 0),  # b == c == 0
+        ],
+    )
+    def test_matches_fraction_loop_bit_for_bit(self, a, b, c):
+        for n in range(41):
+            value = semicircle_uniform_moment(n, a, b, c)
+            assert as_pairs([value]) == as_pairs([fraction_loop_moment(n, a, b, c)]), n
 
     def test_variance_additivity(self):
         assert semicircle_uniform_moment(2, 1, -1, 1) == Fraction(4, 3)

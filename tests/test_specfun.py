@@ -128,6 +128,19 @@ class TestKummer1F1:
             with pytest.raises(SeriesConvergenceError):
                 call()
 
+    def test_cancelled_terminating_sum_is_summed_exactly(self):
+        # the float sums gave -7.07e19 and a value of the wrong sign; the
+        # exact sum rounded once is the correctly rounded value
+        for a, b, x in ((-60, 1, 50), (-40, 1, 30), (-1, 2, 2)):
+            with mpmath.workdps(50):
+                ref = float(mpmath.hyp1f1(a, b, x, zeroprec=400))
+            assert kummer_1f1(a, b, x) == ref, (a, b, x)
+        # L_1^(1)(2) = 1F1(-1; 2; 2) is an exact zero, which `verify kummer` evaluates
+        assert kummer_1f1(-1, 2, 2) == 0
+        # complex inputs have no exact re-sum: refused
+        with pytest.raises(SeriesConvergenceError):
+            kummer_1f1(-60, 1, 50 + 1e-3j)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.floats(min_value=-20, max_value=20),
