@@ -43,6 +43,19 @@ def log_edge(t: float) -> float:
     return math.sqrt(t * (1.0 + t / 4.0)) + 2.0 * math.asinh(math.sqrt(t) / 2.0)
 
 
+def high_precision_root(z: complex, t: float, start: complex):
+    """30-digit root of ``G = G_U(z - t G)`` for ``Semicircle(2 sqrt t) boxplus
+    Uniform[-t/2, t/2]``, found by ``mpmath.findroot`` from ``start``, with
+    ``Im G`` and ``Im(z - t G)`` returned beside it for the Nevanlinna check."""
+    with mpmath.workdps(30):
+        c, half, zm = mpmath.mpf(t), mpmath.mpf(t) / 2, mpmath.mpc(z)
+        root = mpmath.findroot(
+            lambda G: G - mpmath.log((zm - c * G + half) / (zm - c * G - half)) / c,
+            mpmath.mpc(start),
+        )
+        return complex(root), float(root.imag), float((zm - c * root).imag)
+
+
 class TestCauchyTransforms:
     def test_semicircle_anchor(self):
         # G(i) for radius 2: -i (sqrt 5 - 1)/2
@@ -80,6 +93,36 @@ class TestCauchyTransforms:
         with pytest.raises(ValueError):
             cauchy_uniform(complex(1.0, 0.0), -1, 1)
 
+    @pytest.mark.parametrize(
+        "region", ["far_field", "log1p_switch", "next_to_lo", "next_to_hi", "bisector"]
+    )
+    def test_uniform_against_mpmath(self, region):
+        # 30-digit log((z - lo)/(z - hi)) / (hi - lo) at the exact binary value
+        # of each z; "log1p_switch" puts |z - hi| within 5 % of 2 (hi - lo),
+        # on both sides of |width / (z - hi)| = 1/2
+        rng = np.random.default_rng(20)
+        for lo, hi in ((-0.5, 0.5), (-0.75, 1.25), (-4.0, 4.0)):
+            width = hi - lo
+            angle = rng.uniform(0.01, math.pi - 0.01, 100)
+            if region == "far_field":
+                # |z| up to 1e4: half next to the real axis, half at any angle
+                size = 10 ** rng.uniform(1, 4, 100)
+                axis = rng.choice([-1.0, 1.0], 100) * size + 1j * 10 ** rng.uniform(-8, 0, 100)
+                z = np.where(np.arange(100) < 50, axis, size * np.exp(1j * angle))
+            elif region == "log1p_switch":
+                z = hi + 2.0 * width * rng.uniform(0.95, 1.05, 100) * np.exp(1j * angle)
+            elif region in ("next_to_lo", "next_to_hi"):
+                centre = lo if region == "next_to_lo" else hi
+                z = centre + 10 ** rng.uniform(-12, -6, 100) * np.exp(1j * angle)
+            else:
+                z = 0.5 * (lo + hi) + 1j * 10 ** rng.uniform(-8, 4, 100)
+            with mpmath.workdps(30):
+                for point in z:
+                    zm = mpmath.mpc(complex(point))
+                    reference = complex(mpmath.log((zm - lo) / (zm - hi)) / width)
+                    ours = cauchy_uniform(complex(point), lo, hi)
+                    assert abs(ours - reference) <= 2e-15 * abs(reference), (lo, hi, point)
+
     def test_large_argument_asymptotics(self):
         # z G(z) -> 1, including far from the support where naive branch
         # combinations cancel catastrophically
@@ -114,23 +157,33 @@ class TestFreeSumCauchy:
         # G solves G = G_U(z - t G) for Semicircle(2 sqrt t) + Uniform[-t/2, t/2];
         # the 30-digit root with Im G < 0 and Im(z - t G) > 0 is the unique
         # Nevanlinna root, whichever start findroot is given
-        with mpmath.workdps(30):
-            for t in (0.25, 1.0, 2.0, 8.0):
-                edge = log_edge(t)
-                c, half = mpmath.mpf(t), mpmath.mpf(t) / 2
-                for x in (0.0, edge / 2, edge - 1e-3, edge - 1e-4, edge + 1e-4, edge + 0.3):
-                    for eta in (1e-1, 1e-3, 1e-5):
-                        z = complex(x, eta)
-                        g = free_sum_cauchy(z, 2.0 * math.sqrt(t), -t / 2, t / 2)
-                        zm = mpmath.mpc(z)
-                        root = mpmath.findroot(
-                            lambda G: G
-                            - mpmath.log((zm - c * G + half) / (zm - c * G - half)) / c,
-                            mpmath.mpc(g),
-                        )
-                        assert root.imag < 0 and (zm - c * root).imag > 0
-                        reference = complex(root)
-                        assert abs(g - reference) <= 1e-12 * max(1.0, abs(reference)), (t, x, eta)
+        for t in (0.25, 1.0, 2.0, 8.0):
+            edge = log_edge(t)
+            for x in (0.0, edge / 2, edge - 1e-3, edge - 1e-4, edge + 1e-4, edge + 0.3):
+                for eta in (1e-1, 1e-3, 1e-5):
+                    z = complex(x, eta)
+                    g = free_sum_cauchy(z, 2.0 * math.sqrt(t), -t / 2, t / 2)
+                    reference, im_g, im_w = high_precision_root(z, t, g)
+                    assert im_g < 0 and im_w > 0
+                    assert abs(g - reference) <= 1e-12 * max(1.0, abs(reference)), (t, x, eta)
+
+    def test_random_scan_against_high_precision_root(self):
+        # a third of the points uniform over the density window, two thirds
+        # within 1e-3 of a support edge, where F'(G) -> 0
+        rng = np.random.default_rng(1010)
+        for k in range(300):
+            t = rng.uniform(0.25, 8.0)
+            eta = (1e-1, 1e-3, 1e-5)[k % 3]
+            edge = log_edge(t)
+            if k % 9 < 3:
+                x = rng.uniform(-edge - 0.5, edge + 0.5)
+            else:
+                x = rng.choice([-edge, edge]) + rng.uniform(-1e-3, 1e-3)
+            z = complex(x, eta)
+            g = free_sum_cauchy(z, 2.0 * math.sqrt(t), -t / 2, t / 2)
+            reference, im_g, im_w = high_precision_root(z, t, g)
+            assert im_g < 0 and im_w > 0, (t, x, eta)
+            assert abs(g - reference) <= 1e-12 * max(1.0, abs(reference)), (t, x, eta)
 
     def test_point_next_to_edge_at_large_time(self):
         # 1e-4 inside the right edge at t = 8, eta = 1e-5, where a damped
@@ -168,6 +221,17 @@ class TestDensityGrid:
             2.0 * math.sqrt(8.0), -4.0, 4.0, -edge - margin, edge + margin, 2000, eta
         )
         # the Cauchy tails beyond the window hold about 2 eta / (pi margin)
+        assert abs(grid.mass_estimate - 1.0) <= 4.0 * eta / margin + 1e-4
+
+    @pytest.mark.parametrize("t", [16.0, 64.0])
+    def test_large_time_at_tiny_eta(self, t):
+        # continuation stages three decades apart still converge at
+        # eta = 1e-7 next to the edges of a support 75 wide (t = 64)
+        eta, margin = 1e-7, 0.5
+        edge = log_edge(t)
+        grid = density_grid(
+            2.0 * math.sqrt(t), -t / 2, t / 2, -edge - margin, edge + margin, 2000, eta
+        )
         assert abs(grid.mass_estimate - 1.0) <= 4.0 * eta / margin + 1e-4
 
     def test_edge_point_with_stalled_newton_step(self, monkeypatch):
