@@ -1,7 +1,8 @@
 """Numerical free-convolution analysis.
 
 Cauchy transforms of the semicircle and uniform laws, a Newton subordination
-solver for their free additive convolution, Stieltjes inversion
+solver for their free additive convolution, started from the transform's
+boundary values on Biane's real-axis curve, Stieltjes inversion
 onto density grids, the exponential pushforward, and the closed-form support
 of the free log-normal law.
 
@@ -39,7 +40,8 @@ __all__ = [
 
 class SubordinationError(RuntimeError):
     """The Newton subordination solve did not converge within its budget of
-    10 000 vectorized steps."""
+    10 000 vectorized steps, or a point it stopped at fails the final
+    residual check."""
 
 
 class BranchError(ArithmeticError):
@@ -125,20 +127,117 @@ def cauchy_uniform(z: complex, lo: float, hi: float) -> complex:
     return complex(g.item())
 
 
-# Each continuation stage divides the height above the real axis by this
-# factor and starts Newton from the previous stage's root, moved along the
-# tangent dG/dz to the new height.  With the tangent step a factor of 1000
-# reaches eta = 1e-3 in 2 stages and 1e-5 in 3.  Larger factors, up to a
-# single jump to eta, also converge, but on 2000-4000 point grids at
-# t <= 8 they did not shorten the solve measurably, so each jump stays at
-# three decades.
-_CONTINUATION = 1000.0
 _EPS = float(np.finfo(float).eps)
-# Newton stopping rule, read at call time: a point stops when its step falls
-# below _TOLERANCE * max(1, |G|) or its residual reaches roundoff, and a
-# solve raises SubordinationError after _MAX_ITERATIONS vectorized steps.
+# Newton stopping rule, read at call time: a point stops when its Newton step
+# falls below _TOLERANCE * max(1, |G|) or its residual reaches roundoff; a
+# solve raises SubordinationError after _MAX_ITERATIONS vectorized steps, or
+# when a point it would return fails the final residual check.
 _TOLERANCE = 1e-13
 _MAX_ITERATIONS = 10_000
+# The Newton stage starts from the boundary values on the real axis, sampled
+# at this many points of Biane's curve and at a quarter as many real points
+# beyond each support edge, and interpolated linearly in between.
+_CURVE_SAMPLES = 200
+
+
+def _biane_curve(c: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary values ``G(x + i0)`` of ``Semicircle(2 sqrt c) boxplus
+    Uniform[lo, hi]`` (``lo < hi``) at increasing x from one support edge to
+    the other.
+
+    With ``omega = z - c G`` the subordination equation reads
+    ``z = omega + c G_U(omega)`` and ``G = G_U(omega)``.  As z runs along the
+    support, omega runs along Biane's curve (Biane, Indiana Univ. Math. J.
+    46, 1997): the point ``u + i v``, ``u`` in ``[u-, u+]``, at which
+    ``[lo, hi]`` subtends the angle ``theta = width v / c``.  There
+    ``x = u + c Re G_U(omega)`` increases with u, ``Im G = -theta / width``,
+    and the density is ``theta / (pi width)``.  With mid the centre and h the
+    half-width of ``[lo, hi]``, ``u± = mid ± R``, ``R = sqrt(h^2 + c)``, where
+    ``theta = 0``; they map to the support edges ``u± + c G_U(u±)``.
+
+    The samples are ``u = mid - R cos(phi)``, which resolve the square-root
+    edges.  ``omega`` lies on the circle through lo and hi that sees
+    ``[lo, hi]`` at theta, so ``(u - lo)(u - hi) + v^2 = width v cot(theta)``;
+    with ``v = c theta / width`` and multiplied by ``sin(theta) / theta``,
+    this is an equation in theta that is smooth on ``[0, pi]``.  Newton
+    solves it from the upper bound that ``theta cot(theta) <= 1 - theta^2/3``
+    gives.
+    """
+    width = hi - lo
+    half = 0.5 * width
+    spread = math.sqrt(half * half + c)
+    gap = c / (spread + half)  # spread - half without cancellation
+    # u - lo and u - hi, each in the form that does not cancel at its edge
+    phi = np.arange(_CURVE_SAMPLES) * (math.pi / (_CURVE_SAMPLES - 1))
+    ulo = 2.0 * spread * np.sin(0.5 * phi) ** 2 - gap
+    uhi = gap - 2.0 * spread * np.cos(0.5 * phi) ** 2
+    # theta = 0 at both edges; Newton runs on the angles between them, where
+    # (u - lo)(u - hi) < c
+    product = ulo[1:-1] * uhi[1:-1]
+    k = (c / width) ** 2
+    theta = np.minimum(np.sqrt((c - product) / (c / 3.0 + k)), math.pi)
+    for _ in range(50):
+        sin, cos = np.sin(theta), np.cos(theta)
+        sinc = sin / theta
+        value = c * cos - k * theta * sin - product * sinc
+        # d sinc / d theta, by its series where the quotient cancels
+        dsinc = np.where(theta > 1e-3, (cos - sinc) / theta, -theta / 3.0)
+        slope = -c * sin - k * (sin + theta * cos) - product * dsinc
+        step = value / slope
+        # the root is positive, so no step may more than halve theta
+        theta = np.clip(theta - step, 0.5 * theta, math.pi)
+        if not np.abs(step).max() > 64.0 * _EPS:
+            break
+    theta = np.concatenate(([0.0], theta, [0.0]))
+    v = (c / width) * theta
+    # Re G_U = log(|omega - lo| / |omega - hi|) / width; as in
+    # _uniform_transform, log1p takes the squared ratio 1 + q,
+    # q = width (ulo + uhi) / |omega - hi|^2, where |q| < 1/2 and would lose
+    # digits to the sum 1 + q, and log takes it elsewhere; the branch not
+    # taken may meet log1p(-1)
+    lo_sq, hi_sq = ulo * ulo + v * v, uhi * uhi + v * v
+    q = width * (ulo + uhi) / hi_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        real = (0.5 / width) * np.where(np.abs(q) < 0.5, np.log1p(q), np.log(lo_sq / hi_sq))
+    g = np.empty(theta.size, dtype=complex)
+    g.real = real
+    g.imag = -theta / width
+    return lo + ulo + c * real, g
+
+
+def _real_axis_start(z: np.ndarray, c: float, lo: float, hi: float) -> np.ndarray:
+    """First guess for the Newton stage: the boundary value ``G(Re z + i0)``,
+    interpolated linearly in ``Re z`` between samples of the real axis.
+    Beyond the support the value is real; ``w = z - c G`` then still lies in
+    the upper half-plane.
+
+    On the support the samples come from :func:`_biane_curve`.  Beyond it
+    omega is real, ``u = mid ± R cosh(psi)`` with ``u - hi`` on the right and
+    ``lo - u`` on the left both ``R - h + 2 R sinh^2(psi / 2)``.  They go out
+    to ``|u - mid| = max |Re z - mid|`` (at least 2 R), which covers every
+    ``Re z``, since ``x - u`` has the sign of ``u - mid`` there.
+    """
+    x = z.real
+    width = hi - lo
+    half = 0.5 * width
+    mid = 0.5 * (lo + hi)
+    spread = math.sqrt(half * half + c)
+    curve_x, curve_g = _biane_curve(c, lo, hi)
+    extent = max(float(x.max()) - mid, mid - float(x.min()), 2.0 * spread)
+    count = _CURVE_SAMPLES // 4
+    psi = np.arange(1, count + 1) * (math.acosh(extent / spread) / count)
+    beyond = c / (spread + half) + 2.0 * spread * np.sinh(0.5 * psi) ** 2
+    # G is odd about mid on the real axis beyond the support
+    outer_g = np.log1p(width / beyond) / width
+    outer_x = hi + beyond + c * outer_g
+    zeros = np.zeros(count)
+    abscissae = np.concatenate(((lo + hi) - outer_x[::-1], curve_x, outer_x))
+    real = np.interp(x, abscissae, np.concatenate((-outer_g[::-1], curve_g.real, outer_g)))
+    imag = np.interp(x, abscissae, np.concatenate((zeros, curve_g.imag, zeros)))
+    g = np.empty_like(z)
+    g.real = real
+    g.imag = imag
+    return g
 
 
 def _newton_stage(
@@ -149,9 +248,26 @@ def _newton_stage(
     hi: float,
     tolerance: float,
     budget: int,
-) -> int:
-    """Newton on ``G - G_U(z - c G) = 0`` in place over ``g``; returns the
-    unspent budget of vectorized steps."""
+) -> None:
+    """Newton on ``G - G_U(z - c G) = 0`` in place over ``g``, for at most
+    ``budget`` vectorized steps.
+
+    ``w - lo`` and ``w - hi`` are formed from the end e of ``[lo, hi]``
+    nearer to ``Re z``, as ``(z - e) - c G`` plus ``e - lo`` or ``e - hi``:
+    next to an end this keeps the digits that ``w = z - c G`` would lose,
+    and the rounding error of ``w - e`` is common to both, so it cancels in
+    their ratio far from ``[lo, hi]``.
+
+    Raises SubordinationError when the budget runs out, or when, at the end,
+    a point's residual exceeds
+    ``tolerance * (max(1, |G|) + (|z - e| + |c G|) |G_U'(w)|)``: the most
+    that relative errors of ``tolerance`` in G and in the two terms of
+    ``w - e`` could explain.
+    """
+    near_hi = z.real > 0.5 * (lo + hi)
+    ze = z - np.where(near_hi, hi, lo)
+    to_lo = np.where(near_hi, hi - lo, 0.0)
+    to_hi = to_lo - (hi - lo)
     active = np.arange(z.size)
     while active.size:
         if budget == 0:
@@ -161,28 +277,37 @@ def _newton_stage(
             )
         budget -= 1
         current = g[active]
-        w = z[active] - c * current
-        wlo, whi = w - lo, w - hi
+        we = ze[active] - c * current
+        wlo, whi = we + to_lo[active], we + to_hi[active]
         residual = current - _uniform_transform(wlo, whi, hi - lo)
         # F'(G), dividing twice: the product (w - lo)(w - hi) overflows first
         step = residual / (1.0 - c / wlo / whi)
         new = current - step
-        # keep Im G < 0, so that w stays in the upper half-plane; a step that
-        # underflows to zero leaves G as it was, for _check_herglotz to judge
-        outside = np.flatnonzero(new.imag >= 0)
-        while outside.size:
-            step[outside] *= 0.5
-            new[outside] = current[outside] - step[outside]
-            outside = outside[(new[outside].imag >= 0) & (step[outside] != 0)]
+        # keep Im G <= 0, so that w stays in the upper half-plane: a point
+        # that crosses the real axis is reflected back, which brings it
+        # closer to the root, since the root has Im G < 0 (a halved step can
+        # stall next to the real axis, far from the root)
+        new.imag = -np.abs(new.imag)
         g[active] = new
-        # near a support edge F' -> 0 and the step settles at roundoff / |F'|
-        # above the tolerance while the residual is already at roundoff
+        # the full Newton step measures the distance to the root; near a
+        # support edge F' -> 0 and the step settles at roundoff / |F'| above
+        # the tolerance while the residual is already at roundoff
         scale = np.maximum(1.0, np.abs(current))
-        done = (np.abs(step) <= tolerance * scale) | (
-            np.abs(residual) <= 4.0 * _EPS * scale
-        )
+        done = (np.abs(step) <= tolerance * scale) | (np.abs(residual) <= 4.0 * _EPS * scale)
         active = active[~done]
-    return budget
+    cg = c * g
+    we = ze - cg
+    wlo, whi = we + to_lo, we + to_hi
+    residual = np.abs(g - _uniform_transform(wlo, whi, hi - lo))
+    bound = tolerance * (
+        np.maximum(1.0, np.abs(g)) + (np.abs(ze) + np.abs(cg)) / np.abs(wlo * whi)
+    )
+    failed = np.count_nonzero(~(residual <= bound))
+    if failed:
+        raise SubordinationError(
+            f"{failed} of {z.size} grid points stopped with a residual above "
+            f"{tolerance:g} times its roundoff scale"
+        )
 
 
 def _subordination_cauchy(z: np.ndarray, radius: float, lo: float, hi: float) -> np.ndarray:
@@ -191,30 +316,17 @@ def _subordination_cauchy(z: np.ndarray, radius: float, lo: float, hi: float) ->
     The semicircle's R-transform is ``c G`` with ``c = radius^2 / 4``, so G is
     the root of ``F(G) = G - G_U(z - c G)`` with ``Im G < 0`` (Biane, Indiana
     Univ. Math. J. 46, 1997), and ``F'(G) = 1 - c / ((w - lo)(w - hi))`` at
-    ``w = z - c G``.  Newton continues down from height ``max(1, Im z)``,
-    started at ``1 / (z - (lo + hi) / 2)``, dividing the height by
-    ``_CONTINUATION`` (1000) per stage until it reaches ``Im z``.  Between
-    stages a tangent predictor moves each root by ``dG/dz * i (h' - h)``,
-    with ``dG/dz = -1 / ((w - lo)(w - hi) - c)``; a point whose prediction
-    is not finite or leaves ``Im G < 0`` starts from its old root instead.
+    ``w = z - c G``.  One Newton stage runs at the height of z, started from
+    the boundary values on the real axis (:func:`_real_axis_start`), which
+    lie within interpolation error of G at any small height; ``lo == hi``
+    starts from the closed-form transform of the shifted semicircle.
     """
     c = 0.25 * radius * radius
-    x, eta = z.real, z.imag
-    height = np.maximum(1.0, eta)
-    g = 1.0 / (x + 1j * height - 0.5 * (lo + hi))
-    budget = _MAX_ITERATIONS
-    while True:
-        budget = _newton_stage(x + 1j * height, g, c, lo, hi, _TOLERANCE, budget)
-        if (height == eta).all():
-            break
-        lower = np.maximum(height / _CONTINUATION, eta)
-        # tangent predictor: dG/dz = -1 / ((w - lo)(w - hi) - c), written
-        # with the same two divisions as F'
-        w = x + 1j * height - c * g
-        k = 1.0 / (w - lo) / (w - hi)
-        guess = g - k / (1.0 - c * k) * (1j * (lower - height))
-        np.copyto(g, guess, where=np.isfinite(guess) & (guess.imag < 0))
-        height = lower
+    if lo == hi:
+        g = _cauchy_semicircle_raw(z - lo, radius)
+    else:
+        g = _real_axis_start(z, c, lo, hi)
+    _newton_stage(z, g, c, lo, hi, _TOLERANCE, _MAX_ITERATIONS)
     _check_herglotz(g, "subordination result")
     return g
 
@@ -223,12 +335,15 @@ def free_sum_cauchy(z: complex, radius: float, lo: float, hi: float) -> complex:
     """Cauchy transform of ``Semicircle(radius) boxplus Uniform[lo, hi]``.
 
     Subordination through the linear R-transform of the semicircle: G is the
-    root of ``G = G_U(z - (radius^2/4) G)`` with ``Im G < 0``, found by
-    Newton's method continued down in ``Im z`` from height 1.  A point stops
+    root of ``G = G_U(z - (radius^2/4) G)`` with ``Im G < 0``, found by one
+    stage of Newton's method at ``z``, started from the transform's boundary
+    value ``G(Re z + i0)`` on Biane's real-axis curve; a step that would
+    cross the real axis is reflected back into ``Im G < 0``.  A point stops
     when its Newton step falls below ``1e-13 * max(1, |G|)`` or its residual
     reaches roundoff; a budget of 10 000 vectorized Newton steps bounds the
-    solve.  ``lo == hi`` (point mass) and tiny ``radius`` reproduce the
-    single-measure transforms.
+    solve, and a final residual check refuses any point that stopped short
+    of the root.  Both raise ``SubordinationError``.  ``lo == hi`` (point
+    mass) and tiny ``radius`` reproduce the single-measure transforms.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")

@@ -43,17 +43,34 @@ def log_edge(t: float) -> float:
     return math.sqrt(t * (1.0 + t / 4.0)) + 2.0 * math.asinh(math.sqrt(t) / 2.0)
 
 
-def high_precision_root(z: complex, t: float, start: complex):
-    """30-digit root of ``G = G_U(z - t G)`` for ``Semicircle(2 sqrt t) boxplus
-    Uniform[-t/2, t/2]``, found by ``mpmath.findroot`` from ``start``, with
-    ``Im G`` and ``Im(z - t G)`` returned beside it for the Nevanlinna check."""
+def subordination_root(z: complex, c: float, lo: float, hi: float, start: complex):
+    """30-digit root of ``G = G_U(z - c G)`` for ``Semicircle(2 sqrt c) boxplus
+    Uniform[lo, hi]`` (a point mass when ``lo == hi``), found by
+    ``mpmath.findroot`` from ``start``, with ``Im G`` and ``Im(z - c G)``
+    returned beside it for the Nevanlinna check."""
     with mpmath.workdps(30):
-        c, half, zm = mpmath.mpf(t), mpmath.mpf(t) / 2, mpmath.mpc(z)
-        root = mpmath.findroot(
-            lambda G: G - mpmath.log((zm - c * G + half) / (zm - c * G - half)) / c,
-            mpmath.mpc(start),
-        )
-        return complex(root), float(root.imag), float((zm - c * root).imag)
+        cm, zm, lom, him = mpmath.mpf(c), mpmath.mpc(z), mpmath.mpf(lo), mpmath.mpf(hi)
+        if lo == hi:
+            uniform = lambda w: 1 / (w - lom)
+        else:
+            uniform = lambda w: mpmath.log((w - lom) / (w - him)) / (him - lom)
+        root = mpmath.findroot(lambda G: G - uniform(zm - cm * G), mpmath.mpc(start))
+        return complex(root), float(root.imag), float((zm - cm * root).imag)
+
+
+def high_precision_root(z: complex, t: float, start: complex):
+    """:func:`subordination_root` for ``Semicircle(2 sqrt t) boxplus
+    Uniform[-t/2, t/2]``."""
+    return subordination_root(z, t, -t / 2, t / 2, start)
+
+
+def assert_matches_root(z: complex, radius: float, lo: float, hi: float) -> None:
+    """``free_sum_cauchy`` at z is the Nevanlinna root to 1e-12 relative to
+    ``max(1, |G|)``."""
+    g = free_sum_cauchy(z, radius, lo, hi)
+    reference, im_g, im_w = subordination_root(z, radius * radius / 4, lo, hi, g)
+    assert im_g < 0 and im_w > 0, (z, radius, lo, hi)
+    assert abs(g - reference) <= 1e-12 * max(1.0, abs(reference)), (z, radius, lo, hi)
 
 
 class TestCauchyTransforms:
@@ -149,7 +166,8 @@ class TestFreeSumCauchy:
             assert combined == pytest.approx(cauchy_semicircle(z - 0.75, 2.0), rel=1e-11)
 
     def test_non_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(freeconv, "_MAX_ITERATIONS", 3)
+        # from its real-axis start this point converges in 3 Newton steps
+        monkeypatch.setattr(freeconv, "_MAX_ITERATIONS", 1)
         with pytest.raises(SubordinationError):
             free_sum_cauchy(0.1 + 1e-9j, 2.0, -1.0, 1.0)
 
@@ -185,12 +203,139 @@ class TestFreeSumCauchy:
             assert im_g < 0 and im_w > 0, (t, x, eta)
             assert abs(g - reference) <= 1e-12 * max(1.0, abs(reference)), (t, x, eta)
 
+    def test_step_across_the_real_axis_reaches_the_root(self):
+        # from this start the Newton step keeps crossing the real axis; when
+        # such steps were halved to stay in Im G < 0, the point stopped once
+        # the halved step fell below the tolerance, at 1.99997 - 6.6e-16j,
+        # whose residual is 4.4e-2
+        z = np.array([1.0 + 1e-3j])
+        g = np.array([2.0 - 1e-6j])
+        freeconv._newton_stage(z, g, 0.25, -0.125, 0.125, 1e-13, 10_000)
+        reference = free_sum_cauchy(1.0 + 1e-3j, 1.0, -0.125, 0.125)
+        assert abs(reference - (1.94590 - 0.28067j)) < 1e-5
+        assert abs(g[0] - reference) <= 1e-12 * abs(reference)
+
+    def test_final_residual_check_refuses(self):
+        # a point may stop on a residual at roundoff, 4 eps max(1, |G|); the
+        # final check holds every point to the tolerance it is given, here
+        # below roundoff, and refuses what the loop let through
+        z = np.linspace(-2.0, 2.0, 50) + 1e-3j
+        g = freeconv._subordination_cauchy(z, 2.0, -0.5, 0.5)
+        with pytest.raises(SubordinationError, match="residual"):
+            freeconv._newton_stage(z, g, 1.0, -0.5, 0.5, 1e-17, 100)
+
+    @pytest.mark.parametrize("eta", [1e-9, 1e-2, 1.0, 10.0, 1e3])
+    def test_heights_beyond_the_density_window(self, eta):
+        # the start is the boundary value on the real axis; far above it the
+        # transform is close to 1/z instead
+        for t in (0.25, 2.0, 8.0):
+            edge = log_edge(t)
+            for x in (0.0, edge / 2, edge - 1e-3, edge + 1e-3, edge + 2.0, -3.0 * edge - 5.0):
+                assert_matches_root(complex(x, eta), 2.0 * math.sqrt(t), -t / 2, t / 2)
+
+    def test_points_next_to_an_edge(self):
+        # within 1e-6 of an edge, where F'(G) -> 0 as eta -> 0 and the linear
+        # interpolation of the start is coarsest
+        for t in (0.25, 1.0, 4.0, 16.0):
+            edge = log_edge(t)
+            for offset in (-1e-6, -1e-7, 0.0, 1e-7, 1e-6):
+                for eta in (1e-7, 1e-5, 1e-3):
+                    for x in (edge + offset, -edge - offset):
+                        assert_matches_root(complex(x, eta), 2.0 * math.sqrt(t), -t / 2, t / 2)
+
+    def test_point_mass_and_narrow_semicircle(self):
+        # lo == hi starts from the closed-form semicircle; radius 1e-3 puts
+        # Biane's curve 7.9e-7 above [lo, hi] and the support edges 4.1e-6
+        # outside it, so next to lo and hi w - lo and w - hi are tiny
+        for eta in (1e-9, 1e-5, 1e-2, 1.0):
+            for x in (-2.5, -0.3, 0.75, 1.0, 2.0, 40.0):
+                assert_matches_root(complex(x, eta), 2.0, 0.75, 0.75)
+            for x in (-3.0, -0.5 - 1e-6, -0.5 + 1e-6, 0.1, 0.5 - 1e-3, 0.5 + 1e-3, 3.0):
+                assert_matches_root(complex(x, eta), 1e-3, -0.5, 0.5)
+
     def test_point_next_to_edge_at_large_time(self):
         # 1e-4 inside the right edge at t = 8, eta = 1e-5, where a damped
         # fixed-point iteration on the subordination maps needs more than
         # 10_000 sweeps
         g = free_sum_cauchy(complex(log_edge(8.0) - 1e-4, 1e-5), 2.0 * math.sqrt(8.0), -4.0, 4.0)
         assert g.imag < 0
+
+
+class TestBianeCurve:
+    @pytest.mark.parametrize("t", [0.5, 2.0, 8.0])
+    def test_ends_are_the_support_edges(self, t):
+        # Semicircle(2 sqrt t) boxplus Uniform[-t/2, t/2] has edges
+        # +-log of the free log-normal law's upper edge
+        x, g = freeconv._biane_curve(t, -t / 2, t / 2)
+        edge = math.log(free_lognormal_support(t).upper)
+        assert abs(x[-1] - edge) <= 1e-14 * edge
+        assert abs(x[0] + edge) <= 1e-14 * edge
+        assert g[0].imag == 0.0 and g[-1].imag == 0.0
+        assert (np.diff(x) > 0).all() and (g.imag[1:-1] < 0).all()
+
+    def test_asymmetric_ends_against_mpmath(self):
+        # the edges are u + c G_U(u) at the roots of 1 + c G_U'(u) = 0
+        c, lo, hi = 0.7, -0.3, 1.9
+        x, _ = freeconv._biane_curve(c, lo, hi)
+        with mpmath.workdps(30):
+            uniform = lambda u: mpmath.log((u - lo) / (u - hi)) / (hi - lo)
+            slope = lambda u: (1 / (u - lo) - 1 / (u - hi)) / (hi - lo)
+            for bracket, ours in (((lo - 5, lo - 1e-3), x[0]), ((hi + 1e-3, hi + 5), x[-1])):
+                u = mpmath.findroot(lambda u: 1 + c * slope(u), bracket, solver="anderson")
+                edge = float(u + c * uniform(u))
+                assert abs(ours - edge) <= 1e-14 * abs(edge)
+
+    @pytest.mark.parametrize(
+        "c,lo,hi",
+        [
+            (0.25, -0.125, 0.125),
+            (0.7, -0.3, 1.9),
+            (64.0, -32.0, 32.0),
+            (1e-4, -1.0, 1.0),
+            (1e-8, -1.0, 1.0),
+            (1.0, -1e-6, 1e-6),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_samples_solve_the_equation_on_the_real_axis(self, c, lo, hi):
+        # each sample is G(x + i0) = G_U(omega) with omega = x - c G above the
+        # real axis; the ends, where omega is real, are checked above.  At
+        # c = 1e-8 a sample meets log1p(-1) in the branch it does not take.
+        x, g = freeconv._biane_curve(c, lo, hi)
+        omega = x[1:-1] - c * g[1:-1]
+        assert (omega.imag > 0).all()
+        uniform = np.array([cauchy_uniform(w, lo, hi) for w in omega])
+        assert np.abs(uniform - g[1:-1]).max() <= 1e-13 * max(1.0, np.abs(g).max())
+
+
+class TestSolverWork:
+    # point evaluations of the uniform transform that the solver this one
+    # replaced (Newton continued down from height 1 in stages of a factor
+    # 1000, each started from a tangent predictor) spent on these grids
+    CONTINUATION = {
+        (0.25, 1e-3): 39262,
+        (0.25, 1e-5): 50900,
+        (2.0, 1e-3): 38904,
+        (2.0, 1e-5): 47711,
+        (8.0, 1e-3): 37284,
+        (8.0, 1e-5): 45554,
+    }
+
+    @pytest.mark.parametrize("t,eta", sorted(CONTINUATION))
+    def test_work_on_workload_grids(self, monkeypatch, t, eta):
+        # every Newton step and the final residual check evaluate G_U once
+        sizes = []
+        uniform = freeconv._uniform_transform
+
+        def counting(wlo, whi, width):
+            sizes.append(wlo.size)
+            return uniform(wlo, whi, width)
+
+        monkeypatch.setattr(freeconv, "_uniform_transform", counting)
+        edge = log_edge(t)
+        grid_moments(2.0 * math.sqrt(t), -t / 2, t / 2, -edge - 0.5, edge + 0.5, 4000, eta, 0)
+        assert len(sizes) - 1 <= 10  # Newton steps, without the final check
+        assert sum(sizes) < 0.5 * self.CONTINUATION[(t, eta)]
 
 
 class TestDensityGrid:
@@ -225,7 +370,7 @@ class TestDensityGrid:
 
     @pytest.mark.parametrize("t", [16.0, 64.0])
     def test_large_time_at_tiny_eta(self, t):
-        # continuation stages three decades apart still converge at
+        # one Newton stage from the real-axis start still converges at
         # eta = 1e-7 next to the edges of a support 75 wide (t = 64)
         eta, margin = 1e-7, 0.5
         edge = log_edge(t)
