@@ -42,21 +42,28 @@ def _extended(rows: list[list[int]], max_n: int) -> list[list[int]]:
 _rows = _extended([[1]], 16)
 
 
+def _stirling_rows(n: int) -> list[list[int]]:
+    """The published table, grown to hold at least rows ``0 .. n``; row ``m``
+    holds ``s(m, 0) .. s(m, m)``.  Readers index it directly instead of
+    calling :func:`stirling_first` once per number."""
+    global _rows
+    rows = _rows
+    if n >= len(rows):
+        # grow geometrically so repeated scattered lookups stay amortized O(1)
+        rows = _rows = _extended(rows, max(n, 2 * (len(rows) - 1)))
+    return rows
+
+
 def stirling_first(n: int, k: int) -> int:
     """Signed Stirling number of the first kind ``s(n, k)``.
 
     Memoized in a module-level table of rows; ``stirling_first(4, 2) == 11``.
     """
-    global _rows
     if n < 0 or k < 0:
         raise ValueError("indices must be natural numbers")
     if k > n:
         return 0
-    rows = _rows
-    if n >= len(rows):
-        # grow geometrically so repeated scattered lookups stay amortized O(1)
-        rows = _rows = _extended(rows, max(n, 2 * (len(rows) - 1)))
-    return rows[n][k]
+    return _stirling_rows(n)[n][k]
 
 
 def binomial(n: int, k: int) -> int:
@@ -140,12 +147,14 @@ def verify_stirling_identity(l: int, m: int) -> IdentityCheck:
     """
     if l < 1 or m < 1:
         raise ValueError("identity range is l >= 1, m >= 1")
-    lhs = Fraction(2 * l * stirling_first(1 + m, 1 + l))
+    rows = _stirling_rows(1 + m)
+    lhs = Fraction(2 * l * rows[1 + m][1 + l] if l <= m else 0)
     # numerators summed per inverted binomial C(l+m-2, d), d = n+k-1
-    inverted = [binomial(l + m - 2, d) for d in range(l + m - 1)]
+    inverted = [math.comb(l + m - 2, d) for d in range(l + m - 1)]
     sums = [0] * (l + m - 1)
     for k in range(m):
-        weight = binomial(m, k) * binomial(m, 1 + k)
+        weight = math.comb(m, k) * math.comb(m, 1 + k)
+        left, right = rows[1 + k], rows[m - k]
         # s(1+k, n) s(m-k, l+1-n) != 0 exactly for l+1-(m-k) <= n <= 1+k
         for n in range(max(1, l + 1 - m + k), min(l, 1 + k) + 1):
             if inverted[n + k - 1] == 0:
@@ -153,7 +162,7 @@ def verify_stirling_identity(l: int, m: int) -> IdentityCheck:
                     "inverted binomial vanished on a nonzero summand "
                     f"(l={l}, m={m}, n={n}, k={k})"
                 )
-            sums[n + k - 1] += weight * stirling_first(1 + k, n) * stirling_first(m - k, l + 1 - n)
+            sums[n + k - 1] += weight * left[n] * right[l + 1 - n]
     common = math.lcm(*inverted)
     total = sum(num * (common // denom) for num, denom in zip(sums, inverted))
     rhs = Fraction((m + 1) * total, (l + m - 1) * common)

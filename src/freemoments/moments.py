@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exactcomb import stirling_first
+from .exactcomb import _stirling_rows
+from .exactcomb import stirling_first  # noqa: F401  (perfbench/tracing.py patches it here)
 from .measures import (
     Dirac,
     ExpImage,
@@ -62,22 +63,34 @@ def _stirling_weights(k: int) -> list[tuple[int, int]]:
     """``(j, s(1+j, k+1-j))`` for ``ceil(k/2) <= j <= k``, the range where the
     Stirling number is nonzero: the numerators of the closed moment forms,
     whose denominators are ``j! (1+j)!``."""
-    return [(j, stirling_first(1 + j, k + 1 - j)) for j in range((k + 1) // 2, k + 1)]
+    rows = _stirling_rows(1 + k)
+    return [(j, rows[1 + j][k + 1 - j]) for j in range((k + 1) // 2, k + 1)]
+
+
+def _factorial_weights(n: int) -> list[int]:
+    """``n! (n+1)! / (j! (1+j)!)`` for ``j = 0 .. n``: the factors that put the
+    closed-form terms over the common denominator ``n! (n+1)!``."""
+    weight = [1] * (n + 1)
+    for j in range(n, 0, -1):
+        weight[j - 1] = weight[j] * j * (j + 1)
+    return weight
 
 
 def moment_polynomial(n: int) -> RationalPolynomial:
     """n-th moment of ``Semicircle(2 sqrt(t)) boxplus Uniform[-t, 0]`` in ``t``.
 
     Closed form ``n! sum_j t^j s(1+j, n+1-j) / (j! (1+j)!)`` with ``j``
-    running from ``ceil(n/2)`` to ``n``; exact rational coefficients.
+    running from ``ceil(n/2)`` to ``n``; exact rational coefficients, built
+    as the integer numerators ``s(1+j, n+1-j) n! (n+1)! / (j! (1+j)!)`` over
+    the common denominator ``(n+1)!``.
     """
     if n < 0:
         raise ValueError("order must be a natural number")
-    coeffs = [Fraction(0)] * (n + 1)
-    n_fact = math.factorial(n)
+    weight = _factorial_weights(n)
+    numerators = [0] * (n + 1)
     for j, s in _stirling_weights(n):
-        coeffs[j] = Fraction(n_fact * s, math.factorial(j) * math.factorial(1 + j))
-    return RationalPolynomial(coeffs)
+        numerators[j] = s * weight[j]
+    return RationalPolynomial._from_integers(numerators, math.factorial(n + 1))
 
 
 def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
@@ -94,38 +107,36 @@ def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
 
     With ``a = j+l-1`` and ``b = n-l-j-1`` the double sum is the coefficient
     of ``t^(k-1)`` in ``sum_{a+b=n-2} m_a(t) m_b(t)``, since ``c(a, l) = 0``
-    for ``l > a``.  Each row is kept as integer numerators over the lcm of its
-    denominators, so a row costs one integer Cauchy product per pair
-    ``a <= b`` and one ``Fraction`` per coefficient.
+    for ``l > a``.  Row ``a`` is read as the integer numerators of ``m_a``
+    over its reduced common denominator ``D_a``.  The products are summed
+    over ``common = lcm(D_a D_b)``, one integer Cauchy product per pair
+    ``a <= b``, and row ``n`` is written over
+    ``common * lcm(1+n, 2(n-k) for 0 < k < n)``, which the polynomial
+    reduces to ``D_n`` with one gcd.
     """
     if n_max < 0:
         raise ValueError("order must be a natural number")
-    polynomials = []
-    numerators: list[list[int]] = []  # row a is numerators[a] / denominators[a]
-    denominators: list[int] = []
+    polynomials: list[RationalPolynomial] = []
     for n in range(n_max + 1):
-        row = [Fraction(0)] * (n + 1)
-        row[n] = Fraction((-1) ** n, 1 + n)
         # acc[k-1] / common = [t^(k-1)] sum_{a+b=n-2} m_a m_b, pairs a <= b
-        pairs = range(n // 2)
-        common = math.lcm(*(denominators[a] * denominators[n - 2 - a] for a in pairs))
+        pairs = [(polynomials[a], polynomials[n - 2 - a]) for a in range(n // 2)]
+        common = math.lcm(*(left._denominator * right._denominator for left, right in pairs))
         acc = [0] * (n - 1)
-        for a in pairs:
-            b = n - 2 - a
-            scale = common // (denominators[a] * denominators[b]) * (1 if a == b else 2)
-            right = numerators[b]
-            for i, x in enumerate(numerators[a]):
+        for a, (left, right) in enumerate(pairs):
+            scale = common // (left._denominator * right._denominator) * (1 if 2 * a == n - 2 else 2)
+            for i, x in enumerate(left._numerators):
                 if x:
                     x *= scale
-                    for degree, y in enumerate(right, i):
+                    for degree, y in enumerate(right._numerators, i):
                         if y:
                             acc[degree] += x * y
+        # c(n, k) = n acc[k-1] / (2 (n-k) common) and c(n, n) over one denominator
+        divisors = math.lcm(1 + n, *(2 * (n - k) for k in range(1, n)))
+        row = [0] * (n + 1)
         for k in range(1, n):
-            row[k] = Fraction(n * acc[k - 1], 2 * (n - k) * common)
-        denominator = math.lcm(*(c.denominator for c in row))
-        numerators.append([c.numerator * (denominator // c.denominator) for c in row])
-        denominators.append(denominator)
-        polynomials.append(RationalPolynomial(row))
+            row[k] = n * acc[k - 1] * (divisors // (2 * (n - k)))
+        row[n] = (-1) ** n * (divisors // (1 + n)) * common
+        polynomials.append(RationalPolynomial._from_integers(row, divisors * common))
     return polynomials
 
 
@@ -161,9 +172,7 @@ def semicircle_uniform_moment(
         raise ValueError("need b <= c")
     width = c - b
     a_pow, w_pow, c_pow = (_scaled_powers(x, n) for x in (a, width, c))
-    weight = [1] * (n + 1)  # n! (n+1)! / (j! (1+j)!)
-    for j in range(n, 0, -1):
-        weight[j - 1] = weight[j] * j * (j + 1)
+    weight = _factorial_weights(n)
     total = 0
     falling = 1  # n! / (n-k)!
     for k in range(n + 1):

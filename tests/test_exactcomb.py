@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freemoments import exactcomb
 from freemoments.exactcomb import (
     LOG_SERIES_CAP,
     alternating_binomial_sum_check,
@@ -149,6 +150,17 @@ class TestStirlingIdentity:
                 for ours, ref in ((outcome.lhs, lhs), (outcome.rhs, rhs)):
                     assert type(ours) is Fraction, (l, m)
                     assert (ours.numerator, ours.denominator) == (ref.numerator, ref.denominator), (l, m)
+
+    @pytest.mark.parametrize("l, m", [(40, 30), (3, 40)])
+    def test_grows_a_fresh_table(self, monkeypatch, l: int, m: int):
+        # the identity reads rows up to 1 + m; s(1+m, 1+l) = 0 for l > m
+        # needs no row, so the table must be grown for the double sum itself
+        monkeypatch.setattr(exactcomb, "_rows", exactcomb._extended([[1]], 16))
+        outcome = verify_stirling_identity(l, m)
+        lhs, rhs = fraction_loop_identity(l, m)
+        assert outcome.equal
+        for ours, ref in ((outcome.lhs, lhs), (outcome.rhs, rhs)):
+            assert (ours.numerator, ours.denominator) == (ref.numerator, ref.denominator)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

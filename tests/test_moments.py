@@ -58,6 +58,18 @@ def fraction_loop_recursion(n_max: int) -> list[list[Fraction]]:
     return table
 
 
+def fraction_closed_form(n: int) -> list[Fraction]:
+    """Coefficients ``n! s(1+j, n+1-j) / (j! (1+j)!)`` of ``moment_polynomial(n)``,
+    one ``Fraction`` each: the reference of the common-denominator build."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for j in range((n + 1) // 2, n + 1):
+        coeffs[j] = Fraction(
+            math.factorial(n) * stirling_first(1 + j, n + 1 - j),
+            math.factorial(j) * math.factorial(1 + j),
+        )
+    return coeffs
+
+
 def fraction_loop_moment(n: int, a, b, c) -> Fraction:
     """The closed form of ``semicircle_uniform_moment`` with one ``Fraction``
     product per term: the bit-for-bit reference of the integer kernel."""
@@ -108,6 +120,10 @@ class TestMomentPolynomials:
         reference = fraction_loop_recursion(24)
         for poly, row in zip(moment_polynomials_from_recursion(24), reference, strict=True):
             assert as_pairs(poly.coefficients) == as_pairs(row)
+
+    def test_closed_form_matches_fraction_coefficients_bit_for_bit(self):
+        for n in range(61):
+            assert as_pairs(moment_polynomial(n).coefficients) == as_pairs(fraction_closed_form(n))
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
