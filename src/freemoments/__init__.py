@@ -1,7 +1,19 @@
 """Exact and numerical moment machinery for free additive convolutions of
-semicircle and uniform laws, and for the free log-normal spectral law."""
+semicircle and uniform laws, and for the free log-normal spectral law.
+
+The exact layers (``exactcomb``, ``ratpoly``, ``moments``, ``specfun``) and
+the measure specifications load with the package and need neither numpy nor
+scipy.  The numerical layers, ``freeconv`` (subordination solver, density
+grids) and ``rmtlab`` (random-matrix lab), load numpy: their names are
+resolved on first access, so ``import freemoments`` stays cheap for exact
+work.  Their typed errors load eagerly and are the same classes that
+``freeconv`` and ``rmtlab`` export.
+"""
 from __future__ import annotations
 
+import importlib
+
+from ._errors import BranchError, PositivityError, SubordinationError
 from .exactcomb import (
     IdentityCheck,
     alternating_binomial_sum_check,
@@ -10,20 +22,6 @@ from .exactcomb import (
     stirling_first,
     stirling_via_log_series,
     verify_stirling_identity,
-)
-from .freeconv import (
-    BranchError,
-    DensityGrid,
-    SubordinationError,
-    SupportInterval,
-    cauchy_semicircle,
-    cauchy_uniform,
-    density_grid,
-    detect_support,
-    exp_pushforward_density,
-    free_lognormal_support,
-    free_sum_cauchy,
-    grid_moments,
 )
 from .measures import (
     Dirac,
@@ -49,20 +47,6 @@ from .moments import (
     verify_exp_image_moments,
 )
 from .ratpoly import RationalPolynomial
-from .rmtlab import (
-    AdditiveModelConfig,
-    ConvergenceReport,
-    EmpiricalSpectrum,
-    MomentComparison,
-    MultiplicativeModelConfig,
-    PositivityError,
-    additive_drift,
-    additive_matrix,
-    convergence_report,
-    empirical_moments,
-    sample_additive,
-    sample_multiplicative,
-)
 from .specfun import (
     SeriesConvergenceError,
     euler_integral_1f1,
@@ -70,6 +54,55 @@ from .specfun import (
     kummer_transform_check,
     laguerre,
 )
+
+# public names of the numpy-backed layers, imported on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "DensityGrid",
+            "SupportInterval",
+            "cauchy_semicircle",
+            "cauchy_uniform",
+            "density_grid",
+            "detect_support",
+            "exp_pushforward_density",
+            "free_lognormal_support",
+            "free_sum_cauchy",
+            "grid_moments",
+        ),
+        "freeconv",
+    ),
+    **dict.fromkeys(
+        (
+            "AdditiveModelConfig",
+            "ConvergenceReport",
+            "EmpiricalSpectrum",
+            "MomentComparison",
+            "MultiplicativeModelConfig",
+            "additive_drift",
+            "additive_matrix",
+            "convergence_report",
+            "empirical_moments",
+            "sample_additive",
+            "sample_multiplicative",
+        ),
+        "rmtlab",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -20,22 +20,15 @@ from fractions import Fraction
 from io import StringIO
 from typing import Callable, Sequence, TextIO
 
-import numpy as np
-
-from . import freeconv
+# numpy-free imports only: the handlers that need the numerical layers
+# (freeconv, rmtlab) or numpy's generators import them when they run
+from ._errors import SubordinationError
 from .exactcomb import (
     alternating_binomial_sum_check,
     rising_factorial,
     stirling_first,
     stirling_via_log_series,
     verify_stirling_identity,
-)
-from .freeconv import (
-    SubordinationError,
-    density_grid,
-    exp_pushforward_density,
-    free_lognormal_support,
-    grid_moments,
 )
 from .moments import (
     _fractional_moment_sums,
@@ -46,7 +39,6 @@ from .moments import (
     semicircle_uniform_moment,
     verify_exp_image_moments,
 )
-from .rmtlab import convergence_report
 from .specfun import euler_integral_1f1, kummer_1f1, laguerre, kummer_transform_check
 
 EXIT_OK = 0
@@ -329,6 +321,8 @@ def _suite_stirling(l_max: int, m_max: int) -> list[CheckResult]:
 
 
 def _suite_kummer(samples: int, seed: int, tolerance: float) -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
     )
@@ -394,6 +388,8 @@ def _suite_theorem_main(
         f"max deviation {agreement.max_deviation:.3e} for n <= {agreement.orders[-1]}, t={t}",
     )
 
+    import numpy as np
+
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
     )
@@ -417,6 +413,8 @@ def _suite_theorem_main(
 
 
 def _suite_quick_density(t: float) -> list[CheckResult]:
+    from .freeconv import free_lognormal_support, grid_moments
+
     radius = 2.0 * math.sqrt(t)
     half = t / 2.0
     edge = math.log(free_lognormal_support(t).upper)
@@ -437,6 +435,8 @@ def _suite_quick_density(t: float) -> list[CheckResult]:
 
 
 def _suite_quick_simulate(seed: int) -> list[CheckResult]:
+    from .rmtlab import convergence_report
+
     first = convergence_report(
         "multiplicative", 0.5, [24], 2, 2, seed=seed, steps=8
     ).to_json()
@@ -510,6 +510,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
+    from . import freeconv
+    from .freeconv import density_grid, exp_pushforward_density, free_lognormal_support
+
     t = args.t
     radius = 2.0 * math.sqrt(t)
     half = t / 2.0
@@ -567,6 +570,8 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .rmtlab import convergence_report
+
     report = convergence_report(
         args.model,
         args.t,

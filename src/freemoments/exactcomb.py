@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Union
 
 __all__ = [
@@ -125,6 +126,32 @@ def stirling_via_log_series(n: int, k: int, *, cap: int = LOG_SERIES_CAP) -> Fra
     return Fraction(math.factorial(n), math.factorial(k)) * power[n]
 
 
+def _extended_inverses(
+    table: list[tuple[int, list[int]]], max_n: int
+) -> list[tuple[int, list[int]]]:
+    # a longer copy: entry N is L = lcm_d C(N, d) and L // C(N, d), d = 0 .. N
+    table = table.copy()
+    for n in range(len(table), max_n + 1):
+        binomials = [math.comb(n, d) for d in range(n + 1)]
+        common = math.lcm(*binomials)
+        table.append((common, [common // c for c in binomials]))
+    return table
+
+
+# Grown like the Stirling table, by rebinding to a longer copy.
+_inverses = _extended_inverses([], 16)
+
+
+def _inverse_binomials(n: int) -> tuple[int, list[int]]:
+    """``L = lcm_d C(n, d)`` and the list of ``L // C(n, d)``, ``d = 0 .. n``,
+    so that ``sum_d a_d / C(n, d) = sum_d a_d (L // C(n, d)) / L``."""
+    global _inverses
+    table = _inverses
+    if n >= len(table):
+        table = _inverses = _extended_inverses(table, max(n, 2 * (len(table) - 1)))
+    return table[n]
+
+
 class IdentityCheck(NamedTuple):
     equal: bool
     lhs: Fraction
@@ -139,32 +166,32 @@ def verify_stirling_identity(l: int, m: int) -> IdentityCheck:
         C(m, k) C(m, 1+k) s(1+k, n) s(m-k, l+1-n) / C(l+m-2, n+k-1)
 
     scaled by ``(m+1)/(l+m-1)``.  The sum runs only where both Stirling
-    factors are nonzero, so the inverted binomial is only ever taken where
-    the summand is genuinely nonzero; a vanishing binomial there would be a
-    transcription bug and raises.  The integer numerators are added up per
-    binomial and then over the lcm of the binomials, so the right side is
-    one ``Fraction``, normalised once.
+    factors are nonzero, and there ``d = n+k-1`` stays in ``0 .. l+m-2``,
+    where no ``C(l+m-2, d)`` vanishes; a range past that would be a
+    transcription bug and raises.  Each ``1 / C(l+m-2, d)`` is an integer
+    over the lcm of the binomials (a table kept per ``l+m-2``), so the right
+    side sums integer numerators and is one ``Fraction``, normalised once.
     """
     if l < 1 or m < 1:
         raise ValueError("identity range is l >= 1, m >= 1")
     rows = _stirling_rows(1 + m)
     lhs = Fraction(2 * l * rows[1 + m][1 + l] if l <= m else 0)
-    # numerators summed per inverted binomial C(l+m-2, d), d = n+k-1
-    inverted = [math.comb(l + m - 2, d) for d in range(l + m - 1)]
-    sums = [0] * (l + m - 1)
+    common, scales = _inverse_binomials(l + m - 2)
+    # d is largest at k = m - 1, n = min(l, m); a d past the table, where
+    # C(l+m-2, d) = 0, would also cut the slices below short
+    if min(l, m) + m - 2 >= len(scales):
+        raise ZeroDivisionError(
+            f"inverted binomial vanished on a nonzero summand (l={l}, m={m})"
+        )
+    total = 0
     for k in range(m):
-        weight = math.comb(m, k) * math.comb(m, 1 + k)
-        left, right = rows[1 + k], rows[m - k]
         # s(1+k, n) s(m-k, l+1-n) != 0 exactly for l+1-(m-k) <= n <= 1+k
-        for n in range(max(1, l + 1 - m + k), min(l, 1 + k) + 1):
-            if inverted[n + k - 1] == 0:
-                raise ZeroDivisionError(
-                    "inverted binomial vanished on a nonzero summand "
-                    f"(l={l}, m={m}, n={n}, k={k})"
-                )
-            sums[n + k - 1] += weight * left[n] * right[l + 1 - n]
-    common = math.lcm(*inverted)
-    total = sum(num * (common // denom) for num, denom in zip(sums, inverted))
+        lo, hi = max(1, l + 1 - m + k), min(l, 1 + k)
+        left = rows[1 + k][lo : hi + 1]
+        right = rows[m - k][l + 1 - lo : l - hi : -1]  # s(m-k, l+1-n), n = lo .. hi
+        scaled = scales[lo + k - 1 : hi + k]  # L // C(l+m-2, n+k-1)
+        weight = math.comb(m, k) * math.comb(m, 1 + k)
+        total += weight * sum(map(mul, map(mul, left, right), scaled))
     rhs = Fraction((m + 1) * total, (l + m - 1) * common)
     return IdentityCheck(lhs == rhs, lhs, rhs)
 

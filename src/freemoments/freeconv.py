@@ -22,6 +22,8 @@ from typing import IO
 
 import numpy as np
 
+from ._errors import BranchError, SubordinationError
+
 __all__ = [
     "SubordinationError",
     "BranchError",
@@ -36,16 +38,6 @@ __all__ = [
     "free_lognormal_support",
     "detect_support",
 ]
-
-
-class SubordinationError(RuntimeError):
-    """The Newton subordination solve did not converge within its budget of
-    10 000 vectorized steps, or a point it stopped at fails the final
-    residual check."""
-
-
-class BranchError(ArithmeticError):
-    """A transform landed on the wrong branch (``Im G >= 0``)."""
 
 
 def _as_upper(z) -> np.ndarray:

@@ -204,7 +204,7 @@ def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]
     """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``."""
     direct = free_lognormal_moment_alpha_series(alpha, t)
     alpha = complex(alpha)
-    reflected = cmath.exp(-alpha * t / 2.0) * _series_1f1(1 + alpha, 2.0, alpha * t)
+    reflected = cmath.exp(-alpha * t / 2.0) * _series_1f1(1 + alpha, 2.0, alpha * t)[0]
     return direct, reflected
 
 
@@ -238,7 +238,7 @@ def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
         raise ValueError("alpha must be nonzero")
     if t <= 0:
         raise ValueError("time must be positive")
-    return cmath.exp(alpha * t / 2.0) * _series_1f1(1 - alpha, 2.0, -alpha * t)
+    return cmath.exp(alpha * t / 2.0) * _series_1f1(1 - alpha, 2.0, -alpha * t)[0]
 
 
 def additive_mgf(alpha: complex, t: float) -> complex:
@@ -399,7 +399,7 @@ def _free_sum_moment(measure: FreeSum, order: int) -> Fraction:
 
 def _semicircle_mgf(radius: float, alpha: complex) -> complex:
     # 0F1(; 2; x) = sum_k x^k / (k! (k+1)!) with x = (radius * alpha / 2)^2
-    return _series_1f1(None, 2.0, (radius * alpha / 2.0) ** 2)
+    return _series_1f1(None, 2.0, (radius * alpha / 2.0) ** 2)[0]
 
 
 def mgf(measure: MeasureSpec, alpha: complex) -> complex:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 Coefficient = Union[int, Fraction]
 
@@ -77,10 +76,6 @@ class RationalPolynomial:
         coefficients, a ``float`` for real ``t`` and a ``complex`` for complex
         ``t``.  A real or integer array gives a float64 array and a complex
         one a complex128 array, each entry the scalar value bit for bit."""
-        if isinstance(t, np.ndarray):
-            # entry by entry: numpy's complex product can round differently from Python's
-            t = t.astype(np.promote_types(t.dtype, np.float64), copy=False)
-            return np.array([self(x) for x in t.ravel().tolist()], dtype=t.dtype).reshape(t.shape)
         numerators, denominator = self._numerators, self._denominator
         if isinstance(t, numbers.Rational):
             # sum_k n_k p^k q^(d-k) over D q^d, Horner in p with q^(d-k) alongside
@@ -94,6 +89,13 @@ class RationalPolynomial:
             t = float(t)
         elif isinstance(t, numbers.Complex):
             t = complex(t)
+        else:
+            # an array exists only once numpy is loaded, so never import it here
+            np = sys.modules.get("numpy")
+            if np is not None and isinstance(t, np.ndarray):
+                # entry by entry: numpy's complex product can round differently from Python's
+                t = t.astype(np.promote_types(t.dtype, np.float64), copy=False)
+                return np.array([self(x) for x in t.ravel().tolist()], dtype=t.dtype).reshape(t.shape)
         # integer true division rounds correctly, so n_k / D is float(c_k)
         acc = t - t  # additive zero in t's arithmetic
         for c in reversed(numerators):

@@ -27,6 +27,7 @@ from typing import IO, Literal
 
 import numpy as np
 
+from ._errors import PositivityError
 from .moments import free_lognormal_moment, semicircle_uniform_moment
 
 __all__ = [
@@ -52,15 +53,6 @@ _TAYLOR_DEGREES = (4, 8, 12, 16)
 _INVERSE_FACTORIALS = tuple(
     1.0 / math.factorial(j) for j in range(_TAYLOR_DEGREES[-1] + 5)
 )
-
-
-class PositivityError(ArithmeticError):
-    """A multiplicative sample overflowed or produced a nonpositive eigenvalue.
-
-    ``G G*`` is positive definite in exact arithmetic; a violation signals
-    a discretization too coarse for the requested time horizon (or a
-    numerically singular ``G``), never something to clamp silently.
-    """
 
 
 def _check_seed(seed: int) -> None:

@@ -77,16 +77,19 @@ _MAX_TERMS = 10_000
 _CANCELLATION_LIMIT = 2.0**26  # largest term / |sum| past which half the digits are lost
 
 
-def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
+def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> tuple[complex, float]:
     """The package's one series loop: ``1F1(a; b; x)``, or ``0F1(; b; x)`` for ``a=None``.
 
-    Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A terminating
-    series ends at ``a + j == 0``, before any pole in ``b``.  A sum whose
-    partial sum stops being finite, or whose largest term exceeds ``2**26``
-    times its value (more than half of the double-precision digits lost to
-    cancellation), raises :class:`SeriesConvergenceError`; a terminating sum
-    that fails the second test is summed again exactly instead, when ``b``
-    and ``x`` are real (:func:`_exact_polynomial_1f1`).
+    Returns the sum and its largest term over its modulus, the factor by
+    which cancellation magnifies the rounding error (1 or less when nothing
+    cancels).  Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A
+    terminating series ends at ``a + j == 0``, before any pole in ``b``.  A
+    sum whose partial sum stops being finite, or whose largest term exceeds
+    ``2**26`` times its value (more than half of the double-precision digits
+    lost to cancellation), raises :class:`SeriesConvergenceError`; a
+    terminating sum that fails the second test is summed again exactly
+    instead, when ``b`` and ``x`` are real (:func:`_exact_polynomial_1f1`),
+    and reported with factor 1.
     """
     term = total = 1 + 0j
     largest = 1.0
@@ -96,8 +99,8 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
             term = term * x / ((b + j) * (j + 1))
         elif a + j == 0:
             if largest > _CANCELLATION_LIMIT * abs(total):
-                return _exact_polynomial_1f1(j, b, x)
-            return total
+                return _exact_polynomial_1f1(j, b, x), 1.0
+            return total, largest / abs(total)
         else:
             term = term * ((a + j) * x) / ((b + j) * (j + 1))
         total += term
@@ -116,7 +119,7 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> complex:
                 raise SeriesConvergenceError(
                     f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
                 )
-            return total
+            return total, largest / abs(total)
         else:
             previous_small = True
     raise SeriesConvergenceError(
@@ -151,15 +154,30 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     Rising-factorial convention via the term recursion
     ``term_{j+1} = term_j (a+j) x / ((b+j)(j+1))``.  Nonpositive-integer ``a``
     gives a polynomial, summed directly (exactly, then rounded once, where
-    the float sum cancels and ``b``, ``x`` are real); otherwise, for
-    ``Re x < -1``, the reflection ``e^x 1F1(b-a; b; -x)`` avoids
-    alternating-series cancellation.
+    the float sum cancels and ``b``, ``x`` are real).  Otherwise, for
+    ``Re x < -1``, the reflection ``e^x 1F1(b-a; b; -x)`` usually cancels
+    less than the direct series: it is returned when nothing in it cancels,
+    and else the direct series is summed too and the sum whose largest term
+    is the smaller multiple of its value wins (the reflected one on a tie,
+    the other one when either refuses, and the direct one's refusal when
+    both do).
     Nonpositive-integer ``b`` is a pole unless the numerator terminates first.
     """
     a, b, x = complex(a), complex(b), complex(x)
-    if not _terminates(a, b) and x.real < -1.0:
-        return cmath.exp(x) * _series_1f1(b - a, b, -x)
-    return _series_1f1(a, b, x)
+    if _terminates(a, b) or x.real >= -1.0:
+        return _series_1f1(a, b, x)[0]
+    try:
+        reflected, reflected_loss = _series_1f1(b - a, b, -x)
+    except SeriesConvergenceError:
+        return _series_1f1(a, b, x)[0]
+    if reflected_loss > 1.0:
+        try:
+            direct, direct_loss = _series_1f1(a, b, x)
+        except SeriesConvergenceError:
+            direct_loss = math.inf
+        if direct_loss < reflected_loss:
+            return direct
+    return cmath.exp(x) * reflected
 
 
 def kummer_transform_check(
@@ -173,8 +191,8 @@ def kummer_transform_check(
     """
     a, b, x = complex(a), complex(b), complex(x)
     _terminates(a, b)  # rejects a pole in b
-    direct = _series_1f1(a, b, x)
-    reflected = cmath.exp(x) * _series_1f1(b - a, b, -x)
+    direct = _series_1f1(a, b, x)[0]
+    reflected = cmath.exp(x) * _series_1f1(b - a, b, -x)[0]
     return abs(direct - reflected) <= tolerance * (1 + abs(direct))
 
 

@@ -4,14 +4,17 @@
 replaces ``stirling_first``, ``laguerre`` and ``kummer_1f1`` where
 ``moments`` binds them, and reads the ``points`` argument of the two grid
 routines by position, so those bindings and that position are part of the
-contract too.
+contract too.  So is the import cost: the package, the CLI module and the
+exact subcommands load no numpy, checked in fresh interpreters.
 """
 from __future__ import annotations
 
 import inspect
+import subprocess
+import sys
 
 import freemoments
-from freemoments import freeconv, moments
+from freemoments import freeconv, moments, rmtlab
 
 PUBLIC = {
     "AdditiveModelConfig",
@@ -91,3 +94,47 @@ def test_grid_routines_take_points_sixth():
     for routine in (freeconv.density_grid, freeconv.grid_moments):
         names = list(inspect.signature(routine).parameters)
         assert names[5] == "points", routine.__name__
+
+
+def test_dir_and_star_import_cover_the_public_names():
+    assert set(freemoments.__all__) <= set(dir(freemoments))
+    namespace: dict = {}
+    exec("from freemoments import *", namespace)
+    assert set(freemoments.__all__) <= set(namespace)
+    assert namespace["density_grid"] is freeconv.density_grid
+    assert namespace["convergence_report"] is rmtlab.convergence_report
+
+
+def test_typed_errors_are_one_class_each():
+    assert freemoments.SubordinationError is freeconv.SubordinationError
+    assert freemoments.BranchError is freeconv.BranchError
+    assert freemoments.PositivityError is rmtlab.PositivityError
+
+
+def _loads_numpy(code: str) -> str:
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.split()[-1]
+
+
+def test_import_loads_no_numpy():
+    assert _loads_numpy("import sys, freemoments, freemoments.cli") == "False"
+
+
+def test_exact_subcommands_load_no_numpy():
+    commands = [
+        ["moments", "--n-max", "8", "--oracle"],
+        ["moments", "--n-max", "4", "--mode", "at-t", "--t", "1/3"],
+        ["nu", "--n", "4", "--t", "1"],
+        ["nu", "--alpha", "0.5+2i", "--t", "0.5"],
+        ["verify", "stirling", "--l-max", "5", "--m-max", "5"],
+    ]
+    code = (
+        "import sys; from freemoments import cli; "
+        f"assert [cli.main(argv) for argv in {commands!r}] == [0] * {len(commands)}"
+    )
+    assert _loads_numpy(code) == "False"

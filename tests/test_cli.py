@@ -193,6 +193,17 @@ class TestDensity:
         assert abs(xs[peak]) < 1e-3
         assert 0.98 <= payload["meta"]["mass_estimate"] <= 1.02
 
+    def test_solver_failure_is_numerical_exit(self, capsys, monkeypatch):
+        # the handler imports freeconv when it runs, and main still maps the
+        # solver's typed error to exit code 3
+        from freemoments import freeconv
+
+        monkeypatch.setattr(freeconv, "_MAX_ITERATIONS", 0)
+        code = cli.main(["density", "--t", "1", "--points", "50"])
+        _, err = capsys.readouterr()
+        assert code == 3
+        assert err.startswith("numerical failure:")
+
     def test_window_validation(self, capsys):
         code = cli.main(["density", "--t", "1", "--x-lo", "2", "--x-hi", "-2"])
         capsys.readouterr()
