@@ -36,7 +36,13 @@ from .measures import (
     Uniform,
 )
 from .ratpoly import RationalPolynomial
-from .specfun import SeriesConvergenceError, _series_1f1, kummer_1f1, laguerre
+from .specfun import (
+    SeriesConvergenceError,
+    _raise_not_finite,
+    _series_1f1,
+    kummer_1f1,
+    laguerre,
+)
 
 __all__ = [
     "moment_polynomial",
@@ -112,11 +118,15 @@ def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
     over ``common = lcm(D_a D_b)``, one integer Cauchy product per pair
     ``a <= b``, and row ``n`` is written over
     ``common * lcm(1+n, 2(n-k) for 0 < k < n)``, which the polynomial
-    reduces to ``D_n`` with one gcd.
+    reduces to ``D_n`` with one gcd.  Each row enters the products from its
+    first nonzero numerator on: ``c(a, l) = 0`` for ``l < ceil(a/2)``, but
+    the recursion finds where each row starts instead of assuming it.
     """
     if n_max < 0:
         raise ValueError("order must be a natural number")
     polynomials: list[RationalPolynomial] = []
+    # (first, numerators[first:]) of each row, from its first nonzero numerator
+    tails: list[tuple[int, tuple[int, ...]]] = []
     for n in range(n_max + 1):
         # acc[k-1] / common = [t^(k-1)] sum_{a+b=n-2} m_a m_b, pairs a <= b
         pairs = [(polynomials[a], polynomials[n - 2 - a]) for a in range(n // 2)]
@@ -124,19 +134,23 @@ def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
         acc = [0] * (n - 1)
         for a, (left, right) in enumerate(pairs):
             scale = common // (left._denominator * right._denominator) * (1 if 2 * a == n - 2 else 2)
-            for i, x in enumerate(left._numerators):
-                if x:
-                    x *= scale
-                    for degree, y in enumerate(right._numerators, i):
-                        if y:
-                            acc[degree] += x * y
+            left_first, left_tail = tails[a]
+            right_first, right_tail = tails[n - 2 - a]
+            for i, x in enumerate(left_tail, left_first + right_first):
+                x *= scale
+                for degree, y in enumerate(right_tail, i):
+                    acc[degree] += x * y
         # c(n, k) = n acc[k-1] / (2 (n-k) common) and c(n, n) over one denominator
         divisors = math.lcm(1 + n, *(2 * (n - k) for k in range(1, n)))
         row = [0] * (n + 1)
         for k in range(1, n):
             row[k] = n * acc[k - 1] * (divisors // (2 * (n - k)))
         row[n] = (-1) ** n * (divisors // (1 + n)) * common
-        polynomials.append(RationalPolynomial._from_integers(row, divisors * common))
+        polynomial = RationalPolynomial._from_integers(row, divisors * common)
+        numerators = polynomial._numerators
+        first = next(k for k, value in enumerate(numerators) if value)
+        polynomials.append(polynomial)
+        tails.append((first, numerators[first:]))
     return polynomials
 
 
@@ -188,8 +202,11 @@ def semicircle_uniform_moment(
 def free_lognormal_moment(n: int, t: float) -> float:
     """n-th moment ``e^(nt/2) L_{n-1}^{(1)}(-nt) / n`` of the free log-normal law.
 
-    Raises ``OverflowError`` when the moment exceeds the float range.
+    Raises ``OverflowError`` when the moment exceeds the float range, and
+    ``ValueError`` when ``t`` is nan or infinite.
     """
+    if not math.isfinite(t):
+        _raise_not_finite(t=t)
     if n < 1:
         raise ValueError("order must be a positive integer")
     if t <= 0:
@@ -215,8 +232,11 @@ def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
     reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``.  Returns the
     reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would, and
     raises :class:`SeriesConvergenceError` if the two disagree beyond
-    ``1e-10`` relative to ``1 + |value|``.
+    ``1e-10`` relative to ``1 + |value|``.  Arguments that are nan or
+    infinite raise ``ValueError``.
     """
+    if not (cmath.isfinite(alpha) and math.isfinite(t)):
+        _raise_not_finite(alpha=alpha, t=t)
     direct, reflected = _fractional_moment_sums(alpha, t)
     alpha = complex(alpha)
     value, other = (reflected, direct) if alpha.real * t > 1.0 else (direct, reflected)
@@ -232,8 +252,11 @@ def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
     """Fractional moment by the direct series ``e^(alpha t/2) 1F1(1 - alpha; 2; -alpha t)``.
 
     Term by term this is ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``.
+    Arguments that are nan or infinite raise ``ValueError``.
     """
     alpha = complex(alpha)
+    if not (cmath.isfinite(alpha) and math.isfinite(t)):
+        _raise_not_finite(alpha=alpha, t=t)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     if t <= 0:
@@ -245,11 +268,14 @@ def additive_mgf(alpha: complex, t: float) -> complex:
     """``E[e^(alpha X)]`` for ``X ~ Semicircle(2 sqrt(t)) boxplus Uniform[-t, 0]``.
 
     Closed form ``1F1(1 - alpha; 2; -alpha t)``; at integer ``alpha = n`` this
-    matches ``e^(-nt/2)`` times the n-th free log-normal moment.
+    matches ``e^(-nt/2)`` times the n-th free log-normal moment.  Arguments
+    that are nan or infinite raise ``ValueError``.
     """
+    alpha = complex(alpha)
+    if not (cmath.isfinite(alpha) and math.isfinite(t)):
+        _raise_not_finite(alpha=alpha, t=t)
     if t <= 0:
         raise ValueError("time must be positive")
-    alpha = complex(alpha)
     if alpha == 0:
         return 1 + 0j
     return kummer_1f1(1 - alpha, 2.0, -alpha * t)

@@ -35,10 +35,13 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     ``L_{-1} = 0`` and ``L_0 = 1``.  It shares nothing with the hypergeometric
     term recursion, so it serves as a cross-check for that route.  At
     ``x < 0`` the polynomials grow with the degree and the forward recurrence
-    is stable; a value beyond the float range raises ``OverflowError``.
+    is stable; a value beyond the float range raises ``OverflowError``, and
+    an ``alpha`` or ``x`` that is nan or infinite raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("degree must be a natural number")
+    if not (math.isfinite(alpha) and math.isfinite(x)):
+        _raise_not_finite(alpha=alpha, x=x)
     previous, current = 0.0, 1.0
     for k in range(n):
         previous, current = current, (
@@ -54,7 +57,7 @@ def _nonpositive_integer(value: complex) -> Union[int, None]:
     if value.imag != 0.0:
         return None
     r = value.real
-    if r > 0 or r != int(r):
+    if r > 0 or not float(r).is_integer():
         return None
     return -int(r)
 
@@ -66,6 +69,17 @@ def _terminates(a: complex, b: complex) -> bool:
     if pole_b is not None and (pole_a is None or pole_a > pole_b):
         raise ValueError(f"1F1 pole: b = {b} is a nonpositive integer")
     return pole_a is not None
+
+
+def _raise_not_finite(**arguments: Scalar) -> None:
+    """Raise ``ValueError`` naming the first argument that is nan or infinite.
+
+    The public routines test finiteness inline and call this only when that
+    test fails, so a call with finite arguments pays for the test alone.
+    """
+    for name, value in arguments.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 # Truncation contract of the series kernel, read at call time.  A term is
@@ -83,29 +97,42 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> tuple[comple
     Returns the sum and its largest term over its modulus, the factor by
     which cancellation magnifies the rounding error (1 or less when nothing
     cancels).  Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A
-    terminating series ends at ``a + j == 0``, before any pole in ``b``.  A
-    sum whose partial sum stops being finite, or whose largest term exceeds
-    ``2**26`` times its value (more than half of the double-precision digits
-    lost to cancellation), raises :class:`SeriesConvergenceError`; a
-    terminating sum that fails the second test is summed again exactly
-    instead, when ``b`` and ``x`` are real (:func:`_exact_polynomial_1f1`),
-    and reported with factor 1.
+    terminating series (``a = -N``) ends after its ``N``-th term, before any
+    pole in ``b``; one of ``_MAX_TERMS`` terms or more is refused as one that
+    does not settle.  A sum whose partial sum stops being finite, or whose
+    largest term exceeds ``2**26`` times its value (more than half of the
+    double-precision digits lost to cancellation), raises
+    :class:`SeriesConvergenceError`; the overflow refusal has an
+    ``OverflowError`` as its cause.  A terminating sum that fails the second
+    test is summed again exactly instead, when ``b`` and ``x`` are real
+    (:func:`_exact_polynomial_1f1`), and reported with factor 1.
+
+    The operands are typed once: when ``a``, ``b`` and ``x`` all have zero
+    imaginary parts the loop runs on floats.  That returns the same values
+    bit for bit, since a complex product, quotient or modulus with zero
+    imaginary parts rounds like the real one and the imaginary part of the
+    sum stays ``+0.0``.
     """
-    term = total = 1 + 0j
+    end = None if a is None else _nonpositive_integer(a)
+    if end is not None and end >= _MAX_TERMS:
+        end = None
+    if (a is None or a.imag == 0) and b.imag == 0 and x.imag == 0:
+        p, q, z = (None if a is None else a.real), b.real, x.real
+        term = total = 1.0
+    else:
+        p, q, z = a, b, x
+        term = total = 1 + 0j
     largest = 1.0
     previous_small = False
-    for j in range(_MAX_TERMS):
-        if a is None:
-            term = term * x / ((b + j) * (j + 1))
-        elif a + j == 0:
-            if largest > _CANCELLATION_LIMIT * abs(total):
-                return _exact_polynomial_1f1(j, b, x), 1.0
-            return total, largest / abs(total)
+    for j in range(_MAX_TERMS if end is None else end):
+        if p is None:
+            term = term * z / ((q + j) * (j + 1))
         else:
-            term = term * ((a + j) * x) / ((b + j) * (j + 1))
+            term = term * ((p + j) * z) / ((q + j) * (j + 1))
         total += term
         size = abs(term)
-        largest = max(largest, size)
+        if size > largest:
+            largest = size
         if size > _RELATIVE_TOLERANCE * abs(total):
             previous_small = False
         elif not cmath.isfinite(total):
@@ -113,19 +140,23 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> tuple[comple
             # comparison above can pass, so every overflow lands here
             raise SeriesConvergenceError(
                 f"series overflowed the float range (a={a}, b={b}, x={x})"
-            )
+            ) from OverflowError("partial sum is not finite")
         elif previous_small:
             if largest > _CANCELLATION_LIMIT * abs(total):
                 raise SeriesConvergenceError(
                     f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
                 )
-            return total, largest / abs(total)
+            return complex(total), largest / abs(total)
         else:
             previous_small = True
-    raise SeriesConvergenceError(
-        f"hypergeometric series did not settle within {_MAX_TERMS} terms "
-        f"(a={a}, b={b}, x={x})"
-    )
+    if end is None:
+        raise SeriesConvergenceError(
+            f"hypergeometric series did not settle within {_MAX_TERMS} terms "
+            f"(a={a}, b={b}, x={x})"
+        )
+    if largest > _CANCELLATION_LIMIT * abs(total):
+        return _exact_polynomial_1f1(end, b, x), 1.0
+    return complex(total), largest / abs(total)
 
 
 def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:
@@ -148,6 +179,77 @@ def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:
     return complex(float(total))
 
 
+# Past the float range the reflected terms are summed with a carried binary
+# exponent: whenever the partial sum passes _RESCALE, it is scaled by 1/_RESCALE.
+_RESCALE_BITS = 512
+_RESCALE = 2.0**_RESCALE_BITS
+# ln 2 split in two (Cody and Waite): m * _LN2_HI is exact for |m| < 2**21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _reflected_past_float_range(a: complex, b: complex, x: complex) -> complex:
+    """``e^x 1F1(b-a; b; -x)`` for a reflected sum whose terms overflow.
+
+    Sums the terms of :func:`_series_1f1` with its stopping rule, term limit
+    and cancellation refusal (a terminating sum that cancels is refused), but
+    keeps ``term``, ``total`` and ``largest`` times ``2**-exponent``.
+    Scaling by a power of two is exact, so every ratio the loop tests is the
+    one it would test in unbounded range.  ``e^x`` is applied at the end as
+    ``2**m e^r`` with ``x = m ln 2 + r``, so that it never underflows on its
+    own; a value past the float range raises :class:`SeriesConvergenceError`.
+    """
+    c, z = b - a, -x
+    end = _nonpositive_integer(c)
+    if end is not None and end >= _MAX_TERMS:
+        end = None
+    term = total = 1 + 0j
+    largest = 1.0
+    exponent = 0
+    previous_small = False
+    for j in range(_MAX_TERMS if end is None else end):
+        term = term * ((c + j) * z) / ((b + j) * (j + 1))
+        total += term
+        size = abs(term)
+        if size > largest:
+            largest = size
+        magnitude = abs(total)
+        if size > _RELATIVE_TOLERANCE * magnitude:
+            previous_small = False
+            if magnitude > _RESCALE:
+                term, total, largest = term / _RESCALE, total / _RESCALE, largest / _RESCALE
+                exponent += _RESCALE_BITS
+        elif not cmath.isfinite(total):
+            raise SeriesConvergenceError(
+                f"rescaled series overflowed the float range (a={c}, b={b}, x={z})"
+            )
+        elif previous_small:
+            break
+        else:
+            previous_small = True
+    else:
+        if end is None:
+            raise SeriesConvergenceError(
+                f"hypergeometric series did not settle within {_MAX_TERMS} terms "
+                f"(a={c}, b={b}, x={z})"
+            )
+    if largest > _CANCELLATION_LIMIT * abs(total):
+        raise SeriesConvergenceError(
+            f"series lost over half its digits to cancellation (a={c}, b={b}, x={z})"
+        )
+    m = round(x.real / math.log(2))
+    r = x.real - m * _LN2_HI - m * _LN2_LO
+    value = cmath.exp(complex(r, x.imag)) * total
+    try:
+        return complex(
+            math.ldexp(value.real, m + exponent), math.ldexp(value.imag, m + exponent)
+        )
+    except OverflowError:
+        raise SeriesConvergenceError(
+            f"1F1(a={a}, b={b}, x={x}) exceeds the float range"
+        ) from None
+
+
 def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     """Confluent hypergeometric function ``sum_j (a)_j / (b)_j x^j / j!``.
 
@@ -160,16 +262,25 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     and else the direct series is summed too and the sum whose largest term
     is the smaller multiple of its value wins (the reflected one on a tie,
     the other one when either refuses, and the direct one's refusal when
-    both do).
+    both do).  When both refuse and the reflected sum overflowed, it is
+    summed again past the float range (:func:`_reflected_past_float_range`).
     Nonpositive-integer ``b`` is a pole unless the numerator terminates first.
+    Arguments that are nan or infinite raise ``ValueError``.
     """
     a, b, x = complex(a), complex(b), complex(x)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(x)):
+        _raise_not_finite(a=a, b=b, x=x)
     if _terminates(a, b) or x.real >= -1.0:
         return _series_1f1(a, b, x)[0]
     try:
         reflected, reflected_loss = _series_1f1(b - a, b, -x)
-    except SeriesConvergenceError:
-        return _series_1f1(a, b, x)[0]
+    except SeriesConvergenceError as refusal:
+        try:
+            return _series_1f1(a, b, x)[0]
+        except SeriesConvergenceError:
+            if not isinstance(refusal.__cause__, OverflowError):
+                raise
+        return _reflected_past_float_range(a, b, x)
     if reflected_loss > 1.0:
         try:
             direct, direct_loss = _series_1f1(a, b, x)
@@ -187,9 +298,12 @@ def kummer_transform_check(
 
     Compares two different sums for every ``x``: the direct series in ``x``
     and the Kummer-reflected series in ``-x``, at relative scale
-    ``1 + |direct|``.  A sum that refuses raises ``SeriesConvergenceError``.
+    ``1 + |direct|``.  A sum that refuses raises ``SeriesConvergenceError``;
+    arguments that are nan or infinite raise ``ValueError``.
     """
     a, b, x = complex(a), complex(b), complex(x)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(x)):
+        _raise_not_finite(a=a, b=b, x=x)
     _terminates(a, b)  # rejects a pole in b
     direct = _series_1f1(a, b, x)[0]
     reflected = cmath.exp(x) * _series_1f1(b - a, b, -x)[0]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import cmath
 import math
+import random
 import subprocess
 import sys
 
@@ -13,7 +15,13 @@ from hypothesis import strategies as st
 
 from freemoments import specfun
 from freemoments.measures import Semicircle
-from freemoments.moments import additive_mgf, mgf
+from freemoments.moments import (
+    additive_mgf,
+    free_lognormal_moment,
+    free_lognormal_moment_alpha,
+    free_lognormal_moment_alpha_series,
+    mgf,
+)
 from freemoments.specfun import (
     SeriesConvergenceError,
     euler_integral_1f1,
@@ -115,6 +123,7 @@ class TestKummer1F1:
         [
             (1.04 - 3.78j, 1.86, -5.94 - 13.24j),  # the reflected sum cancels less
             (-4.31 + 6.67j, 5.5, -6 + 18.52j),  # the direct sum cancels less
+            (0.7 - 1.3j, 3.0, -1500 + 20j),  # both refuse; the rescaled reflected sum is kept
         ],
     )
     def test_reflection_keeps_the_sum_that_cancels_less(self, a, b, x):
@@ -130,17 +139,25 @@ class TestKummer1F1:
             kummer_1f1(15.2615 + 19.0868j, 9.9776, 5.1682 + 38.5515j)
 
     def test_overflowed_sum_is_refused(self):
-        # each sum overflows the float range before it settles; a nan sum
-        # slips past both the stopping rule and the cancellation refusal
-        # unless it is checked.  mpmath gives 5.0e-4 for the first one.
+        # each value lies past the float range, and its sum overflows before
+        # it settles; a nan sum slips past both the stopping rule and the
+        # cancellation refusal unless it is checked
         for call in (
-            lambda: kummer_1f1(1, 2, -2000),
             lambda: kummer_1f1(1, 2, 800),
             lambda: additive_mgf(400, 5.0),
             lambda: mgf(Semicircle(2.0), 2000.0),
         ):
             with pytest.raises(SeriesConvergenceError):
                 call()
+
+    @pytest.mark.parametrize("x", [-709.0, -745.0, -2000.0, -5000.0])
+    def test_reflection_past_the_float_range(self, x):
+        # the reflected sum 1F1(1; 2; -x) overflows from x = -709 on, but the
+        # value (1 - e^x) / (-x) does not; it is summed with a carried exponent
+        ref = (1 - math.exp(x)) / -x
+        value = kummer_1f1(1, 2, x)
+        assert value.imag == 0.0
+        assert abs(value.real - ref) <= 1e-12 * ref
 
     def test_cancelled_terminating_sum_is_summed_exactly(self):
         # the float sums gave -7.07e19 and a value of the wrong sign; the
@@ -162,9 +179,11 @@ class TestKummer1F1:
         st.floats(min_value=0.5, max_value=20),
         st.floats(min_value=-10, max_value=10),
         st.floats(min_value=-40, max_value=40),
+        st.booleans(),
     )
-    def test_accurate_or_refused_against_mpmath(self, a_re, a_im, b, x_re, x_im):
-        a, x = complex(a_re, a_im), complex(x_re, x_im)
+    def test_accurate_or_refused_against_mpmath(self, a_re, a_im, b, x_re, x_im, real):
+        # real a and x take the kernel's float path
+        a, x = (complex(a_re), complex(x_re)) if real else (complex(a_re, a_im), complex(x_re, x_im))
         try:
             value = kummer_1f1(a, b, x)
         except SeriesConvergenceError:
@@ -194,6 +213,140 @@ class TestSeriesPolicy:
         assert kummer_1f1(1.0, 2.0, 500.0).real == pytest.approx(
             math.expm1(500.0) / 500.0, rel=1e-13
         )
+
+
+def _reference_series_1f1(a, b, x):
+    """The series kernel as it stood before its operands were typed once:
+    complex arithmetic throughout and a test of ``a + j == 0`` at every term."""
+    term = total = 1 + 0j
+    largest = 1.0
+    previous_small = False
+    for j in range(specfun._MAX_TERMS):
+        if a is None:
+            term = term * x / ((b + j) * (j + 1))
+        elif a + j == 0:
+            if largest > specfun._CANCELLATION_LIMIT * abs(total):
+                return specfun._exact_polynomial_1f1(j, b, x), 1.0
+            return total, largest / abs(total)
+        else:
+            term = term * ((a + j) * x) / ((b + j) * (j + 1))
+        total += term
+        size = abs(term)
+        largest = max(largest, size)
+        if size > specfun._RELATIVE_TOLERANCE * abs(total):
+            previous_small = False
+        elif not cmath.isfinite(total):
+            raise SeriesConvergenceError(
+                f"series overflowed the float range (a={a}, b={b}, x={x})"
+            )
+        elif previous_small:
+            if largest > specfun._CANCELLATION_LIMIT * abs(total):
+                raise SeriesConvergenceError(
+                    f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
+                )
+            return total, largest / abs(total)
+        else:
+            previous_small = True
+    raise SeriesConvergenceError(
+        f"hypergeometric series did not settle within {specfun._MAX_TERMS} terms "
+        f"(a={a}, b={b}, x={x})"
+    )
+
+
+def _outcome(kernel, a, b, x):
+    """The bits of a kernel's value and loss ratio, or its exception."""
+    try:
+        value, loss = kernel(a, b, x)
+    except Exception as error:  # noqa: BLE001 - the refusal itself is compared
+        return type(error), str(error)
+    return value.real.hex(), value.imag.hex(), loss.hex()
+
+
+def _operand(rng: random.Random, real_part: float, kind: str):
+    """``real_part`` as a float, a complex with imaginary part +0.0 or -0.0,
+    or a complex with a drawn imaginary part."""
+    if kind == "float":
+        return real_part
+    if kind == "complex":
+        return complex(real_part, rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 1.5))
+    return complex(real_part, rng.choice((0.0, -0.0)))
+
+
+def _magnitude(rng: random.Random, low: float, high: float) -> float:
+    return rng.choice((-1, 1)) * 10 ** rng.uniform(low, high)
+
+
+class TestKernelIdentity:
+    """The kernel returns the same bits and refusals as the complex loop."""
+
+    def test_same_bits_as_the_complex_loop(self):
+        rng = random.Random(14)
+        kinds = ("float", "zero", "complex")
+        for _ in range(20_000):
+            shape = rng.randrange(5)
+            if shape == 0:  # real operands: the float path
+                kind = [rng.choice(("float", "zero")) for _ in range(3)]
+            elif shape == 1:  # one or more drawn imaginary parts
+                kind = [rng.choice(kinds) for _ in range(3)]
+                kind[rng.randrange(3)] = "complex"
+            else:
+                kind = [rng.choice(kinds) for _ in range(3)]
+            b = rng.choice((rng.uniform(0.05, 30.0), float(rng.randint(1, 6)), -rng.uniform(0.01, 20.0)))
+            x = _magnitude(rng, -3.0, 3.3)  # up to 2000: overflow and cancellation refusals
+            if shape == 2:  # terminating: a = -N, cancelled sums summed exactly
+                a = -float(rng.randint(0, 80))
+                b = abs(b)
+            elif shape == 3:  # 0F1
+                a = None
+            else:
+                a = _magnitude(rng, -2.0, 1.6)
+            a = None if a is None else _operand(rng, a, kind[0])
+            b, x = _operand(rng, b, kind[1]), _operand(rng, x, kind[2])
+            assert _outcome(specfun._series_1f1, a, b, x) == _outcome(_reference_series_1f1, a, b, x), (a, b, x)
+
+    @pytest.mark.parametrize("max_terms", [1, 2, 30])
+    def test_same_refusals_at_the_term_limit(self, monkeypatch, max_terms):
+        # a terminating sum of exactly _MAX_TERMS terms does not settle
+        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
+        rng = random.Random(max_terms)
+        for n in range(max(0, max_terms - 2), max_terms + 3):
+            for kind in ("float", "zero", "complex"):
+                for _ in range(5):
+                    a = _operand(rng, -float(n), rng.choice(("float", "zero")))
+                    b = _operand(rng, rng.uniform(0.5, 4.0), kind)
+                    x = _operand(rng, _magnitude(rng, -2.0, 1.0), kind)
+                    assert _outcome(specfun._series_1f1, a, b, x) == _outcome(_reference_series_1f1, a, b, x)
+        for _ in range(200):  # sums that need more terms than the limit
+            a = _operand(rng, rng.uniform(-5.0, 5.0), rng.choice(("float", "complex")))
+            x = _operand(rng, _magnitude(rng, 0.0, 1.5), rng.choice(("float", "zero", "complex")))
+            assert _outcome(specfun._series_1f1, a, 2.0, x) == _outcome(_reference_series_1f1, a, 2.0, x)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_raise_value_error(bad):
+    # before, these raised OverflowError, a refusal for overflow or a
+    # conversion error, and free_lognormal_moment(1, nan) returned nan
+    calls = [
+        ("alpha", lambda: laguerre(3, bad, 1.0)),
+        ("x", lambda: laguerre(3, 1.0, bad)),
+        ("a", lambda: kummer_1f1(bad, 2, 1)),
+        ("a", lambda: kummer_1f1(complex(1, bad), 2, 1)),
+        ("b", lambda: kummer_1f1(1, bad, 1)),
+        ("x", lambda: kummer_1f1(1, 2, bad)),
+        ("a", lambda: kummer_transform_check(bad, 2, 1)),
+        ("x", lambda: kummer_transform_check(1, 2, bad)),
+        ("alpha", lambda: additive_mgf(bad, 1.0)),
+        ("t", lambda: additive_mgf(2, bad)),
+        ("t", lambda: free_lognormal_moment(1, bad)),
+        ("t", lambda: free_lognormal_moment(3, bad)),
+        ("alpha", lambda: free_lognormal_moment_alpha(bad, 1.0)),
+        ("t", lambda: free_lognormal_moment_alpha(0.5, bad)),
+        ("alpha", lambda: free_lognormal_moment_alpha_series(bad, 1.0)),
+        ("t", lambda: free_lognormal_moment_alpha_series(0.5, bad)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
 
 
 class TestEulerIntegral:
