@@ -40,6 +40,7 @@ from .specfun import (
     SeriesConvergenceError,
     _raise_not_finite,
     _series_1f1,
+    _series_past_float_range,
     kummer_1f1,
     laguerre,
 )
@@ -63,6 +64,10 @@ ExactScalar = Union[int, Fraction]
 # Largest relative gap |value - other| / (1 + |value|) accepted between the
 # direct and the Kummer-reflected fractional-moment sums, read at call time.
 _CROSS_CHECK_TOLERANCE = 1e-10
+# |alpha t| from which the large-argument expansion stands in for a
+# fractional-moment sum that refuses, at real alpha: the part it drops is of
+# relative size about e^(-|alpha t|), below 1e-13 here
+_LARGE_ARGUMENT = 30.0
 
 
 def _stirling_weights(k: int) -> list[tuple[int, int]]:
@@ -217,12 +222,89 @@ def free_lognormal_moment(n: int, t: float) -> float:
     return value
 
 
-def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]:
-    """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``."""
-    direct = free_lognormal_moment_alpha_series(alpha, t)
+def _moment_sum(a: complex, x: complex, s: complex) -> complex:
+    """``e^s 1F1(a; 2; x)``, one route to a fractional moment; when ``e^s`` or
+    the sum overflows, it is summed again with a carried binary exponent."""
+    try:
+        return cmath.exp(s) * _series_1f1(a, 2.0, x)[0]
+    except OverflowError:
+        pass
+    except SeriesConvergenceError as refusal:
+        if not isinstance(refusal.__cause__, OverflowError):
+            raise
+    return _series_past_float_range(a, 2.0, x, s)
+
+
+def _large_argument_moment(alpha: float, t: float) -> float:
+    """``int x^alpha d nu_t`` at real alpha from the large-argument expansion
+    of ``1F1`` (DLMF 13.7.2), a route that shares no term with the series.
+
+    The moment is even in alpha (Kummer's transformation), so with
+    ``beta = |alpha|`` and ``z = beta t`` it is
+    ``e^(z/2) z^(beta - 1) / Gamma(1 + beta) sum_k (1 - beta)_k (-beta)_k / (k! z^k)``,
+    up to a part of relative size about ``e^(-z)``.  The sum stops after two
+    consecutive terms below ``1e-15`` of it, or where a nonpositive integer
+    ``1 - beta`` or ``-beta`` ends it; it raises
+    :class:`SeriesConvergenceError` once its terms grow before that, since the
+    expansion diverges.
+    """
+    beta = abs(alpha)
+    z = beta * t
+    term = total = 1.0
+    previous_small = False
+    k = 0
+    while term != 0.0:
+        step = (1.0 - beta + k) * (k - beta) / ((k + 1) * z)
+        if abs(step) >= 1.0:
+            raise SeriesConvergenceError(
+                f"large-argument expansion diverges before it settles (alpha={alpha}, t={t})"
+            )
+        term *= step
+        total += term
+        k += 1
+        if abs(term) > 1e-15 * abs(total):
+            previous_small = False
+        elif previous_small:
+            break
+        else:
+            previous_small = True
+    log_scale = 0.5 * z + (beta - 1.0) * math.log(z) - math.lgamma(1.0 + beta)
+    try:
+        return math.exp(log_scale) * total
+    except OverflowError:
+        raise SeriesConvergenceError(
+            f"moment {alpha} at t={t} exceeds the float range"
+        ) from None
+
+
+def _reflected_moment_sum(alpha: complex, t: float) -> complex:
+    """The Kummer-reflected sum ``e^(-alpha t/2) 1F1(1 + alpha; 2; alpha t)``."""
     alpha = complex(alpha)
-    reflected = cmath.exp(-alpha * t / 2.0) * _series_1f1(1 + alpha, 2.0, alpha * t)[0]
-    return direct, reflected
+    return _moment_sum(1 + alpha, alpha * t, -alpha * t / 2.0)
+
+
+def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]:
+    """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``.
+
+    A sum that overflows is summed past the float range.  At real alpha with
+    ``|alpha t| >= 30``, one sum that refuses even then (its terms cancel)
+    is replaced by :func:`_large_argument_moment`; otherwise the first
+    refusal is raised.
+    """
+    sums: list = []
+    for route in (free_lognormal_moment_alpha_series, _reflected_moment_sum):
+        try:
+            sums.append(route(alpha, t))
+        except SeriesConvergenceError as refusal:
+            sums.append(refusal)
+    refusals = [r for r in sums if isinstance(r, SeriesConvergenceError)]
+    if refusals:
+        alpha = complex(alpha)
+        if len(refusals) == 2 or alpha.imag or abs(alpha.real * t) < _LARGE_ARGUMENT:
+            raise refusals[0]
+        stand_in = complex(_large_argument_moment(alpha.real, t))
+        sums = [stand_in if r is refusals[0] else r for r in sums]
+    return sums[0], sums[1]
 
 
 def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
@@ -232,8 +314,13 @@ def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
     reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``.  Returns the
     reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would, and
     raises :class:`SeriesConvergenceError` if the two disagree beyond
-    ``1e-10`` relative to ``1 + |value|``.  Arguments that are nan or
-    infinite raise ``ValueError``.
+    ``1e-10`` relative to ``1 + |value|``.  A sum that overflows the float
+    range is summed again with a carried binary exponent, so a moment in
+    range is returned, and one past it raises.  At real alpha with
+    ``|alpha t| >= 30`` the sum not returned may refuse because its terms
+    cancel; the large-argument expansion of ``1F1`` then checks the returned
+    one in its place.  Arguments that are nan or infinite raise
+    ``ValueError``.
     """
     if not (cmath.isfinite(alpha) and math.isfinite(t)):
         _raise_not_finite(alpha=alpha, t=t)
@@ -252,6 +339,7 @@ def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
     """Fractional moment by the direct series ``e^(alpha t/2) 1F1(1 - alpha; 2; -alpha t)``.
 
     Term by term this is ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``.
+    A sum that overflows is summed again with a carried binary exponent.
     Arguments that are nan or infinite raise ``ValueError``.
     """
     alpha = complex(alpha)
@@ -261,7 +349,7 @@ def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
         raise ValueError("alpha must be nonzero")
     if t <= 0:
         raise ValueError("time must be positive")
-    return cmath.exp(alpha * t / 2.0) * _series_1f1(1 - alpha, 2.0, -alpha * t)[0]
+    return _moment_sum(1 - alpha, -alpha * t, alpha * t / 2.0)
 
 
 def additive_mgf(alpha: complex, t: float) -> complex:

@@ -74,7 +74,7 @@ def _terminates(a: complex, b: complex) -> bool:
 def _raise_not_finite(**arguments: Scalar) -> None:
     """Raise ``ValueError`` naming the first argument that is nan or infinite.
 
-    The public routines test finiteness inline and call this only when that
+    The series routines test finiteness inline and call this only when that
     test fails, so a call with finite arguments pays for the test alone.
     """
     for name, value in arguments.items():
@@ -179,8 +179,8 @@ def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:
     return complex(float(total))
 
 
-# Past the float range the reflected terms are summed with a carried binary
-# exponent: whenever the partial sum passes _RESCALE, it is scaled by 1/_RESCALE.
+# A sum whose terms overflow is summed again with a carried binary exponent:
+# whenever the partial sum passes _RESCALE, it is scaled by 1/_RESCALE.
 _RESCALE_BITS = 512
 _RESCALE = 2.0**_RESCALE_BITS
 # ln 2 split in two (Cody and Waite): m * _LN2_HI is exact for |m| < 2**21
@@ -188,19 +188,19 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-def _reflected_past_float_range(a: complex, b: complex, x: complex) -> complex:
-    """``e^x 1F1(b-a; b; -x)`` for a reflected sum whose terms overflow.
+def _series_past_float_range(a: complex, b: complex, x: complex, s: complex) -> complex:
+    """``e^s 1F1(a; b; x)`` for a sum whose terms overflow.
 
     Sums the terms of :func:`_series_1f1` with its stopping rule, term limit
     and cancellation refusal (a terminating sum that cancels is refused), but
     keeps ``term``, ``total`` and ``largest`` times ``2**-exponent``.
     Scaling by a power of two is exact, so every ratio the loop tests is the
-    one it would test in unbounded range.  ``e^x`` is applied at the end as
-    ``2**m e^r`` with ``x = m ln 2 + r``, so that it never underflows on its
-    own; a value past the float range raises :class:`SeriesConvergenceError`.
+    one it would test in unbounded range.  ``e^s`` is applied at the end as
+    ``2**m e^r`` with ``s = m ln 2 + r``, so that it never overflows or
+    underflows on its own; a value past the float range raises
+    :class:`SeriesConvergenceError`.
     """
-    c, z = b - a, -x
-    end = _nonpositive_integer(c)
+    end = _nonpositive_integer(a)
     if end is not None and end >= _MAX_TERMS:
         end = None
     term = total = 1 + 0j
@@ -208,7 +208,7 @@ def _reflected_past_float_range(a: complex, b: complex, x: complex) -> complex:
     exponent = 0
     previous_small = False
     for j in range(_MAX_TERMS if end is None else end):
-        term = term * ((c + j) * z) / ((b + j) * (j + 1))
+        term = term * ((a + j) * x) / ((b + j) * (j + 1))
         total += term
         size = abs(term)
         if size > largest:
@@ -221,7 +221,7 @@ def _reflected_past_float_range(a: complex, b: complex, x: complex) -> complex:
                 exponent += _RESCALE_BITS
         elif not cmath.isfinite(total):
             raise SeriesConvergenceError(
-                f"rescaled series overflowed the float range (a={c}, b={b}, x={z})"
+                f"rescaled series overflowed the float range (a={a}, b={b}, x={x})"
             )
         elif previous_small:
             break
@@ -231,22 +231,22 @@ def _reflected_past_float_range(a: complex, b: complex, x: complex) -> complex:
         if end is None:
             raise SeriesConvergenceError(
                 f"hypergeometric series did not settle within {_MAX_TERMS} terms "
-                f"(a={c}, b={b}, x={z})"
+                f"(a={a}, b={b}, x={x})"
             )
     if largest > _CANCELLATION_LIMIT * abs(total):
         raise SeriesConvergenceError(
-            f"series lost over half its digits to cancellation (a={c}, b={b}, x={z})"
+            f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
         )
-    m = round(x.real / math.log(2))
-    r = x.real - m * _LN2_HI - m * _LN2_LO
-    value = cmath.exp(complex(r, x.imag)) * total
+    m = round(s.real / math.log(2))
+    r = s.real - m * _LN2_HI - m * _LN2_LO
+    value = cmath.exp(complex(r, s.imag)) * total
     try:
         return complex(
             math.ldexp(value.real, m + exponent), math.ldexp(value.imag, m + exponent)
         )
     except OverflowError:
         raise SeriesConvergenceError(
-            f"1F1(a={a}, b={b}, x={x}) exceeds the float range"
+            f"e^({s}) 1F1(a={a}, b={b}, x={x}) exceeds the float range"
         ) from None
 
 
@@ -263,7 +263,7 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     is the smaller multiple of its value wins (the reflected one on a tie,
     the other one when either refuses, and the direct one's refusal when
     both do).  When both refuse and the reflected sum overflowed, it is
-    summed again past the float range (:func:`_reflected_past_float_range`).
+    summed again past the float range (:func:`_series_past_float_range`).
     Nonpositive-integer ``b`` is a pole unless the numerator terminates first.
     Arguments that are nan or infinite raise ``ValueError``.
     """
@@ -280,7 +280,7 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
         except SeriesConvergenceError:
             if not isinstance(refusal.__cause__, OverflowError):
                 raise
-        return _reflected_past_float_range(a, b, x)
+        return _series_past_float_range(b - a, b, -x, x)
     if reflected_loss > 1.0:
         try:
             direct, direct_loss = _series_1f1(a, b, x)

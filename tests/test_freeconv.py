@@ -323,18 +323,27 @@ class TestSolverWork:
 
     @pytest.mark.parametrize("t,eta", sorted(CONTINUATION))
     def test_work_on_workload_grids(self, monkeypatch, t, eta):
-        # every Newton step and the final residual check evaluate G_U once
+        # every Newton step and every residual check evaluate G_U once; the
+        # solved half and the reflected half of the grid are checked apart
         sizes = []
+        checks = []
         uniform = freeconv._uniform_transform
+        check = freeconv._check_residual
 
         def counting(wlo, whi, width):
             sizes.append(wlo.size)
             return uniform(wlo, whi, width)
 
+        def counting_check(*args):
+            checks.append(args[0].size)
+            check(*args)
+
         monkeypatch.setattr(freeconv, "_uniform_transform", counting)
+        monkeypatch.setattr(freeconv, "_check_residual", counting_check)
         edge = log_edge(t)
         grid_moments(2.0 * math.sqrt(t), -t / 2, t / 2, -edge - 0.5, edge + 0.5, 4000, eta, 0)
-        assert len(sizes) - 1 <= 10  # Newton steps, without the final check
+        assert sum(checks) == 4000
+        assert len(sizes) - len(checks) <= 10  # Newton steps, without the checks
         assert sum(sizes) < 0.5 * self.CONTINUATION[(t, eta)]
 
 
@@ -420,6 +429,133 @@ class TestDensityGrid:
         assert np.array_equal(np.array(parsed["values"]), grid.values)
         assert parsed["eta"] == grid.eta
         assert parsed["mass_estimate"] == grid.mass_estimate
+
+
+def centred_window(t: float) -> tuple[float, float, float, float, float]:
+    """radius, lo, hi, x_lo, x_hi of the density workload's window at t."""
+    edge = log_edge(t) + 0.5
+    return 2.0 * math.sqrt(t), -t / 2, t / 2, -edge, edge
+
+
+class TestCentredGrids:
+    @pytest.mark.parametrize("points", [2, 3, 2000, 4001])
+    @pytest.mark.parametrize("eta", [1e-3, 1e-5])
+    @pytest.mark.parametrize("t", [0.25, 2.0, 8.0])
+    def test_reflection_matches_a_full_solve(self, t, eta, points):
+        radius, lo, hi, x_lo, x_hi = centred_window(t)
+        x, g = freeconv._grid_cauchy(radius, lo, hi, x_lo, x_hi, points, eta)
+        full = freeconv._subordination_cauchy(x + 1j * eta, radius, lo, hi)
+        assert (np.abs(g - full) <= 1e-13 * np.maximum(1.0, np.abs(full))).all()
+        # the solved half is the full solve, bit for bit
+        half = points // 2
+        assert np.array_equal(g[half:], full[half:])
+        grid = density_grid(radius, lo, hi, x_lo, x_hi, points, eta)
+        assert np.array_equal(grid.abscissae, x)
+        assert np.array_equal(grid.values, -g.imag / math.pi)
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 1999, 2000, 4001])
+    def test_centred_abscissae(self, points):
+        rng = np.random.default_rng(points)
+        for edge in rng.uniform(0.5, 10.0, 20):
+            x, _ = freeconv._grid_cauchy(1.0, -0.5, 0.5, -edge, edge, points, 1e-2)
+            linspace = np.linspace(-edge, edge, points)
+            half = points // 2
+            assert np.array_equal(x, -x[::-1])
+            assert (np.diff(x) > 0).all()
+            assert np.array_equal(x[points - half :], linspace[points - half :])
+            if points % 2:
+                assert x[half] == 0.0
+            # np.linspace rounds each abscissa to within about 1.5 ulp of the
+            # window's end, so mirrored pairs can disagree by 3
+            assert (np.abs(x - linspace) <= 3.0 * np.spacing(edge)).all()
+
+    def test_every_point_is_checked_once(self, monkeypatch):
+        checked = []
+        check = freeconv._check_residual
+
+        def recording(z, *args):
+            checked.append(z.real.copy())
+            check(z, *args)
+
+        monkeypatch.setattr(freeconv, "_check_residual", recording)
+        radius, lo, hi, x_lo, x_hi = centred_window(2.0)
+        grid = density_grid(radius, lo, hi, x_lo, x_hi, 2001, 1e-3)
+        assert len(checked) == 2
+        assert np.array_equal(np.sort(np.concatenate(checked)), grid.abscissae)
+
+    def test_reflected_half_is_checked(self, monkeypatch):
+        # the residual check below roundoff refuses the reflected half alone
+        check = freeconv._check_residual
+
+        def strict_on_the_left(z, g, c, lo, hi, tolerance):
+            check(z, g, c, lo, hi, 1e-17 if (z.real < 0).all() else tolerance)
+
+        monkeypatch.setattr(freeconv, "_check_residual", strict_on_the_left)
+        radius, lo, hi, x_lo, x_hi = centred_window(2.0)
+        with pytest.raises(SubordinationError, match="residual"):
+            density_grid(radius, lo, hi, x_lo, x_hi, 2000, 1e-3)
+
+    def test_tolerance_below_roundoff_refuses(self, monkeypatch):
+        monkeypatch.setattr(freeconv, "_TOLERANCE", 1e-17)
+        radius, lo, hi, x_lo, x_hi = centred_window(1.0)
+        with pytest.raises(SubordinationError, match="residual"):
+            density_grid(radius, lo, hi, x_lo, x_hi, 2000, 1e-3)
+
+    @pytest.mark.parametrize(
+        "radius,lo,hi,x_lo,x_hi",
+        [
+            (2.0, -1.0, 0.0, -3.3, 2.3),  # criterion 7's law, Uniform[-t, 0]
+            (2.0 * math.sqrt(2.0), -1.0, 1.0, -4.5, 4.0),  # off-centre window
+            (2.0 * math.sqrt(2.0), -1.0, 1.0, -4.0, 4.5),
+        ],
+    )
+    def test_other_grids_are_solved_whole(self, radius, lo, hi, x_lo, x_hi):
+        # same bits as a full solve on np.linspace, and the contour moments
+        # are the trapezoids of z^n G taken one order at a time
+        eta, points = 1e-3, 3001
+        x = np.linspace(x_lo, x_hi, points)
+        z = x + 1j * eta
+        g = freeconv._subordination_cauchy(z, radius, lo, hi)
+        grid = density_grid(radius, lo, hi, x_lo, x_hi, points, eta)
+        assert np.array_equal(grid.abscissae, x)
+        assert np.array_equal(grid.values, -g.imag / math.pi)
+        expected = []
+        zg = g
+        for _ in range(5):
+            line = -float(np.trapezoid(zg.imag, x)) / math.pi
+            expected.append(line + (eta / math.pi) * float(zg[-1].real - zg[0].real))
+            zg = zg * z
+        assert grid_moments(radius, lo, hi, x_lo, x_hi, points, eta, 4) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_arguments_raise_value_error(bad):
+    # before, these ran the whole Newton budget and raised
+    # SubordinationError, and free_lognormal_support(nan) returned nan edges
+    grid = dict(radius=2.0, lo=-0.5, hi=0.5, x_lo=-3.0, x_hi=3.0, points=64, eta=1e-2)
+    calls = []
+    for name in ("radius", "lo", "hi", "x_lo", "x_hi", "eta"):
+        calls.append((name, lambda name=name: density_grid(**{**grid, name: bad})))
+        calls.append((name, lambda name=name: grid_moments(**{**grid, name: bad}, n_max=2)))
+    for name in ("radius", "lo", "hi"):
+        law = dict(radius=2.0, lo=-0.5, hi=0.5)
+        calls.append((name, lambda name=name: free_sum_cauchy(0.1 + 0.1j, **{**law, name: bad})))
+    calls.append(("z", lambda: free_sum_cauchy(complex(bad, 0.1), 2.0, -0.5, 0.5)))
+    calls.append(("z", lambda: free_sum_cauchy(complex(0.1, bad), 2.0, -0.5, 0.5)))
+    calls.append(("t", lambda: free_lognormal_support(bad)))
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_grid_arguments_that_name_no_law_raise_value_error():
+    # before, both returned numbers, where free_sum_cauchy raises
+    with pytest.raises(ValueError, match="radius"):
+        grid_moments(-2.0, -0.5, 0.5, -3.0, 3.0, 64, 1e-2, 2)
+    with pytest.raises(ValueError, match="lo <= hi"):
+        density_grid(2.0, 0.5, -0.5, -3.0, 3.0, 64, 1e-2)
 
 
 class TestGridMoments:

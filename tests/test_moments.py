@@ -10,6 +10,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freemoments import moments
 from freemoments.exactcomb import stirling_first
 from freemoments.measures import (
     Dirac,
@@ -269,6 +270,55 @@ class TestFreeLogNormalMoments:
         # SeriesConvergenceError, still an ArithmeticError for old handlers
         with pytest.raises(SeriesConvergenceError):
             free_lognormal_moment_alpha(-0.85193 - 4.65839j, 3.0)
+
+    @pytest.mark.parametrize("alpha,t", [(5, 200), (2.5, 400), (-3, 300)])
+    def test_moments_past_the_float_range_of_the_sums(self, alpha, t):
+        # 1.193e227, 1.34e221 and 3.68e200: one series or both overflow
+        # before the factor e^(-+alpha t / 2) is applied; at (2.5, 400) the
+        # direct series also cancels, and the large-argument expansion
+        # checks the reflected one in its place
+        with mpmath.workdps(30):
+            reference = mpmath.exp(mpmath.mpf(alpha) * t / 2) * mpmath.hyp1f1(
+                1 - alpha, 2, -alpha * t
+            )
+        value = free_lognormal_moment_alpha(alpha, t)
+        assert value.imag == 0.0
+        assert abs(value.real - float(reference)) <= 1e-12 * float(reference)
+
+    @pytest.mark.parametrize("alpha,t", [(5, 400), (2.5, 600), (-3, 600), (100, 20)])
+    def test_moments_past_the_float_range_are_refused(self, alpha, t):
+        with pytest.raises(SeriesConvergenceError):
+            free_lognormal_moment_alpha(alpha, t)
+
+    def test_large_argument_stand_in_is_checked(self, monkeypatch):
+        # the stand-in is a check, not a value: one that is off by 1e-9
+        # makes the routes disagree
+        exact = moments._large_argument_moment
+        monkeypatch.setattr(
+            moments, "_large_argument_moment", lambda alpha, t: exact(alpha, t) * (1 + 1e-9)
+        )
+        with pytest.raises(SeriesConvergenceError, match="disagree"):
+            free_lognormal_moment_alpha(2.5, 400)
+
+    def test_large_arguments_against_mpmath(self):
+        # real alpha, |alpha t| up to 800; each value returned is within
+        # 1e-12 of the 30-digit one, and 38 of the 40 are returned (4 were,
+        # when a sum that overflowed or cancelled was refused)
+        rng = np.random.default_rng(15)
+        returned = 0
+        for alpha, t in zip(rng.uniform(-8, 8, 40), rng.uniform(2, 100, 40)):
+            with mpmath.workdps(30):
+                reference = float(
+                    mpmath.exp(mpmath.mpf(alpha) * t / 2)
+                    * mpmath.hyp1f1(1 - alpha, 2, -alpha * t)
+                )
+            try:
+                value = free_lognormal_moment_alpha(alpha, t)
+            except SeriesConvergenceError:
+                continue
+            returned += 1
+            assert abs(value - reference) <= 1e-12 * abs(reference), (alpha, t)
+        assert returned >= 35
 
     def test_exp_image_agreement_report(self):
         report = verify_exp_image_moments(25, 4.0)
