@@ -7,7 +7,8 @@ header so runs are reproducible from their output alone.
 
 Exit codes: 0 success; 1 a verification suite failed; 2 usage error;
 3 numerical failure (non-convergence, branch/positivity violation, series
-overflow).  Rationals are rendered as ``p/q`` strings, never floats.
+overflow; a verify check that refused still prints its report).  Rationals
+are rendered as ``p/q`` strings, never floats.
 """
 
 from __future__ import annotations
@@ -18,28 +19,17 @@ import math
 import sys
 from fractions import Fraction
 from io import StringIO
-from typing import Callable, Sequence, TextIO
+from typing import Sequence
 
 # numpy-free imports only: the handlers that need the numerical layers
-# (freeconv, rmtlab) or numpy's generators import them when they run
+# (freeconv, rmtlab) or the verify checks import them when they run
 from ._errors import SubordinationError
-from .exactcomb import (
-    alternating_binomial_sum_check,
-    rising_factorial,
-    stirling_first,
-    stirling_via_log_series,
-    verify_stirling_identity,
-)
 from .moments import (
     _fractional_moment_sums,
-    additive_mgf,
-    free_lognormal_moment,
     moment_polynomial,
     moment_polynomials_from_recursion,
-    semicircle_uniform_moment,
     verify_exp_image_moments,
 )
-from .specfun import euler_integral_1f1, kummer_1f1, laguerre, kummer_transform_check
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -241,11 +231,14 @@ def cmd_nu(args: argparse.Namespace) -> int:
     if args.n is not None:
         params["n_max"] = args.n
         columns = ["n", "laguerre", "hypergeometric", "rel_diff"]
+        agreement = verify_exp_image_moments(args.n, args.t)
         rows = []
-        for n in range(1, args.n + 1):
-            via_laguerre = free_lognormal_moment(n, args.t)
-            via_1f1 = math.exp(n * args.t / 2.0) * additive_mgf(n, args.t).real
-            rel = abs(via_laguerre - via_1f1) / (1.0 + abs(via_laguerre))
+        for n, via_laguerre, via_1f1, rel in zip(
+            agreement.orders,
+            agreement.laguerre_values,
+            agreement.hypergeometric_values,
+            agreement.deviations,
+        ):
             if args.format == "table":
                 cells = [str(n), _table_number(via_laguerre), _table_number(via_1f1)]
             else:
@@ -275,187 +268,9 @@ def cmd_nu(args: argparse.Namespace) -> int:
 # verify
 
 
-CheckResult = tuple[str, bool, str]
-
-
-def _suite_stirling(l_max: int, m_max: int) -> list[CheckResult]:
-    failures = []
-    for l in range(1, l_max + 1):
-        for m in range(1, m_max + 1):
-            try:
-                outcome = verify_stirling_identity(l, m)
-            except ZeroDivisionError as exc:
-                failures.append(f"(l={l}, m={m}): {exc}")
-                continue
-            if not outcome.equal:
-                failures.append(f"(l={l}, m={m}): {outcome.lhs} != {outcome.rhs}")
-    identity = (
-        "stirling-identity",
-        not failures,
-        failures[0] if failures else f"{l_max * m_max} (l, m) pairs exact",
-    )
-
-    series_bound = 20
-    series_ok = all(
-        stirling_via_log_series(n, k) == stirling_first(n, k)
-        for n in range(series_bound + 1)
-        for k in range(n + 1)
-    )
-    log_series = (
-        "stirling-log-series",
-        series_ok,
-        f"coefficient extraction matches recurrence for n <= {series_bound}",
-    )
-
-    alternating_ok = all(
-        alternating_binomial_sum_check(N, k)
-        for N in range(1, 31)
-        for k in {0, N // 3, N // 2, N - 1, N}
-    )
-    alternating = (
-        "alternating-binomial-sum",
-        alternating_ok,
-        "partial alternating sums exact for N <= 30",
-    )
-    return [identity, log_series, alternating]
-
-
-def _suite_kummer(samples: int, seed: int, tolerance: float) -> list[CheckResult]:
-    import numpy as np
-
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-    )
-    transform_bad = 0
-    for _ in range(samples):
-        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        b = complex(rng.uniform(0.5, 4.0), rng.uniform(-2, 2))
-        x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if not kummer_transform_check(a, b, x, tolerance=tolerance):
-            transform_bad += 1
-    transform = (
-        "kummer-transform",
-        transform_bad == 0,
-        f"{samples} random (a, b, x) points, {transform_bad} failures",
-    )
-
-    euler_worst = 0.0
-    for a, b in ((1.0, 2.0), (0.5, 1.5), (2.0, 3.5), (1.5, 4.0)):
-        for x in (-2.0, -0.5, 0.5, 2.0):
-            series = kummer_1f1(a, b, x).real
-            quad = euler_integral_1f1(a, b, x)
-            euler_worst = max(euler_worst, abs(series - quad) / (1.0 + abs(series)))
-    euler = (
-        "euler-integral",
-        euler_worst <= tolerance,
-        f"max deviation {euler_worst:.3e} over the (a, b, x) grid",
-    )
-
-    laguerre_worst = 0.0
-    for n in range(9):
-        for alpha in (0.0, 1.0, 2.5):
-            for x in (-3.0, -1.0, 0.5, 2.0):
-                direct = laguerre(n, alpha, x)
-                prefactor = float(rising_factorial(alpha + 1.0, n)) / math.factorial(n)
-                via_1f1 = prefactor * kummer_1f1(-n, alpha + 1.0, x).real
-                laguerre_worst = max(
-                    laguerre_worst, abs(direct - via_1f1) / (1.0 + abs(direct))
-                )
-    laguerre_check = (
-        "laguerre-terminating-series",
-        laguerre_worst <= tolerance,
-        f"max deviation {laguerre_worst:.3e} for n <= 8",
-    )
-    return [transform, euler, laguerre_check]
-
-
-def _suite_theorem_main(
-    n_max: int, t: float, samples: int, seed: int, tolerance: float
-) -> list[CheckResult]:
-    bound = max(n_max, 10)
-    recursion = moment_polynomials_from_recursion(bound)
-    exact_ok = all(moment_polynomial(n) == recursion[n] for n in range(bound + 1))
-    polynomials = (
-        "moment-polynomials",
-        exact_ok,
-        f"closed form equals quadratic recursion for n <= {bound} (exact)",
-    )
-
-    agreement = verify_exp_image_moments(max(n_max, 1), t, tolerance=tolerance)
-    exp_image = (
-        "exp-image-moments",
-        agreement.passed,
-        f"max deviation {agreement.max_deviation:.3e} for n <= {agreement.orders[-1]}, t={t}",
-    )
-
-    import numpy as np
-
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
-    )
-    fractional_worst = 0.0
-    drawn = 0
-    while drawn < samples:
-        alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if not 0.05 <= abs(alpha) <= 5.0:
-            continue
-        drawn += 1
-        direct, reflected = _fractional_moment_sums(alpha, t)
-        fractional_worst = max(
-            fractional_worst, abs(direct - reflected) / (1.0 + abs(direct))
-        )
-    fractional = (
-        "fractional-moments",
-        fractional_worst <= tolerance,
-        f"max deviation {fractional_worst:.3e} over {samples} complex orders, t={t}",
-    )
-    return [polynomials, exp_image, fractional]
-
-
-def _suite_quick_density(t: float) -> list[CheckResult]:
-    from .freeconv import free_lognormal_support, grid_moments
-
-    radius = 2.0 * math.sqrt(t)
-    half = t / 2.0
-    edge = math.log(free_lognormal_support(t).upper)
-    window = edge + 0.25
-    estimates = grid_moments(radius, -half, half, -window, window, 1200, 2e-3, 4)
-    worst = 0.0
-    for n in range(5):
-        target = float(semicircle_uniform_moment(n, t, -half, half))
-        scale = max(1.0, abs(target))
-        worst = max(worst, abs(estimates[n] - target) / scale)
-    return [
-        (
-            "density-moments",
-            worst <= 1e-3,
-            f"contour grid vs exact, n <= 4, t={t}, max rel dev {worst:.3e}",
-        )
-    ]
-
-
-def _suite_quick_simulate(seed: int) -> list[CheckResult]:
-    from .rmtlab import convergence_report
-
-    first = convergence_report(
-        "multiplicative", 0.5, [24], 2, 2, seed=seed, steps=8
-    ).to_json()
-    second = convergence_report(
-        "multiplicative", 0.5, [24], 2, 2, seed=seed, steps=8
-    ).to_json()
-    additive_first = convergence_report("additive", 1.0, [32], 2, 2, seed=seed).to_json()
-    additive_second = convergence_report("additive", 1.0, [32], 2, 2, seed=seed).to_json()
-    passed = first == second and additive_first == additive_second
-    return [
-        (
-            "simulate-determinism",
-            passed,
-            "repeated seeded reports byte-identical",
-        )
-    ]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     params = {
         "suite": args.suite,
         "l_max": args.l_max,
@@ -466,42 +281,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tolerance": args.tolerance,
         "seed": args.seed,
     }
-    checks: list[CheckResult] = []
-    if args.suite in ("stirling", "all"):
-        checks += _suite_stirling(args.l_max, args.m_max)
-    if args.suite in ("kummer", "all"):
-        checks += _suite_kummer(args.samples, args.seed, args.tolerance)
-    if args.suite in ("theorem-main", "all"):
-        checks += _suite_theorem_main(
-            args.n_max, args.t, args.samples, args.seed, args.tolerance
-        )
-    if args.suite == "all":
-        checks += _suite_quick_density(args.t)
-        checks += _suite_quick_simulate(args.seed)
-
-    all_passed = all(passed for _, passed, _ in checks)
+    results, refused = checks.run(checks.SUITES[args.suite], args)
+    all_passed = all(check.passed for check in results)
     if args.format == "json":
         payload = {
             "command": "verify",
             "params": params,
-            "checks": [
-                {"name": name, "passed": passed, "detail": detail}
-                for name, passed, detail in checks
-            ],
+            "checks": [check._asdict() for check in results],
             "passed": all_passed,
         }
         _write_output(args, json.dumps(payload, indent=2))
     else:
         columns = ["status", "check", "detail"]
-        rows = [
-            ["ok" if passed else "FAIL", name, detail]
-            for name, passed, detail in checks
-        ]
+        rows = [["ok" if passed else "FAIL", name, detail] for name, passed, detail in results]
         if args.format == "table":
-            rows.append(
-                ["", "result", "PASS" if all_passed else "FAIL"]
-            )
+            rows.append(["", "result", "PASS" if all_passed else "FAIL"])
         _write_output(args, _render_rows(args, "verify", params, columns, rows))
+    if refused:
+        return EXIT_NUMERICAL
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 

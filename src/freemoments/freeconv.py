@@ -475,17 +475,6 @@ class DensityGrid:
         object.__setattr__(self, "abscissae", x)
         object.__setattr__(self, "values", v)
 
-    def moment(self, n: int) -> float:
-        """Trapezoid estimate of ``int x^n density(x) dx``.
-
-        Carries the O(eta) kernel-spreading bias of the smoothed density;
-        :func:`grid_moments` is the bias-cancelling alternative when the
-        underlying transform is available.
-        """
-        if n < 0:
-            raise ValueError("order must be a natural number")
-        return float(np.trapezoid(self.abscissae**n * self.values, self.abscissae))
-
     def to_csv(self, stream: IO[str]) -> None:
         stream.write("x,density\n")
         for x, v in zip(self.abscissae, self.values):
@@ -552,11 +541,9 @@ def grid_moments(
         m_n = -(1/pi) Im int z^n G(z) dx
               + (eta/pi) (Re[z^n G]_right_end - Re[z^n G]_left_end) + O(eta^2)
 
-    The window must contain the whole support (margin > 0).  Contrast with
-    :meth:`DensityGrid.moment`, whose plain trapezoid carries the documented
-    O(eta) kernel-spreading bias.  G comes from the same grid, the same
-    reflection of a centred window and the same checks as in
-    :func:`density_grid`.
+    The window must contain the whole support (margin > 0).  G comes from
+    the same grid, the same reflection of a centred window and the same
+    checks as in :func:`density_grid`.
     """
     if n_max < 0:
         raise ValueError("order must be a natural number")

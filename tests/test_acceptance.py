@@ -2,7 +2,9 @@
 
 Every test prints a single ``[PASS]``/``[FAIL]`` line with the decisive
 numbers, so the captured output of a run doubles as a checklist.  Tolerances
-are pinned in-line; nothing here is tuned at import time.
+are pinned in-line; nothing here is tuned at import time.  Criteria 1, 2, 4
+and 6 call the check functions that ``freemoments verify`` runs
+(``freemoments.checks``) with their own sizes, seeds and bounds.
 """
 
 from __future__ import annotations
@@ -14,28 +16,21 @@ import numpy as np
 
 from freemoments import (
     MultiplicativeModelConfig,
-    alternating_binomial_sum_check,
+    checks,
     cli,
     convergence_report,
     density_grid,
     detect_support,
     empirical_moments,
-    euler_integral_1f1,
     exp_pushforward_density,
     free_lognormal_moment,
     free_lognormal_support,
     grid_moments,
     kummer_1f1,
-    kummer_transform_check,
     moment_polynomial,
-    moment_polynomials_from_recursion,
     sample_multiplicative,
     semicircle_uniform_moment,
-    stirling_first,
-    stirling_via_log_series,
-    verify_stirling_identity,
 )
-from freemoments.moments import _fractional_moment_sums
 
 
 def _verdict(ok: bool, label: str, detail: str) -> bool:
@@ -48,29 +43,13 @@ def _philox(entropy: int) -> np.random.Generator:
 
 
 def test_criterion_01_moment_polynomials_match_recursion():
-    table = moment_polynomials_from_recursion(30)
-    bad = [n for n in range(31) if moment_polynomial(n) != table[n]]
-    assert _verdict(
-        not bad,
-        "criterion 1",
-        "closed-form moment polynomials equal the recursion oracle exactly "
-        f"for n <= 30 (mismatches: {bad or 'none'})",
-    )
+    check = checks.moment_polynomials(30)
+    assert _verdict(check.passed, "criterion 1", check.detail)
 
 
 def test_criterion_02_stirling_identity_sweep():
-    bad = [
-        (l, m)
-        for l in range(1, 26)
-        for m in range(1, 26)
-        if not verify_stirling_identity(l, m).equal
-    ]
-    assert _verdict(
-        not bad,
-        "criterion 2",
-        f"inverted-binomial Stirling identity exact for 1 <= l, m <= 25 "
-        f"(625 pairs, failures: {bad or 'none'})",
-    )
+    check = checks.stirling_identity(25, 25)
+    assert _verdict(check.passed, "criterion 2", check.detail)
 
 
 def test_criterion_03_laguerre_vs_hypergeometric_moments():
@@ -89,25 +68,8 @@ def test_criterion_03_laguerre_vs_hypergeometric_moments():
 
 
 def test_criterion_04_fractional_moment_routes_agree():
-    rng = _philox(614)
-    t_values = (0.5, 2.0)
-    worst = 0.0
-    drawn = 0
-    while drawn < 40:
-        alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if not 0.05 <= abs(alpha) <= 5.0:
-            continue
-        drawn += 1
-        for t in t_values:
-            direct, reflected = _fractional_moment_sums(alpha, t)
-            worst = max(worst, abs(direct - reflected) / (1 + abs(direct)))
-    assert _verdict(
-        worst <= 1e-10,
-        "criterion 4",
-        "direct 1F1 sum vs Kummer-reflected sum of the fractional moment, 40 random "
-        f"complex alpha with |alpha| <= 5, t in {{0.5, 2}}: worst relative "
-        f"deviation {worst:.2e} (<= 1e-10)",
-    )
+    check = checks.fractional_moments(_philox(614), 40, (0.5, 2.0), 1e-10)
+    assert _verdict(check.passed, "criterion 4", check.detail)
 
 
 def test_criterion_05_degree_and_leading_coefficient():
@@ -126,44 +88,16 @@ def test_criterion_05_degree_and_leading_coefficient():
 
 
 def test_criterion_06_auxiliary_identity_suite():
-    log_bad = [
-        (n, k)
-        for n in range(21)
-        for k in range(n + 1)
-        if stirling_via_log_series(n, k) != stirling_first(n, k)
+    results = [
+        checks.stirling_log_series(20),
+        checks.kummer_transform(_philox(615), 50, 1e-10),
+        checks.euler_integral(1e-10),
+        checks.alternating_binomial_sum(30),
     ]
-
-    rng = _philox(615)
-    transform_bad = 0
-    for _ in range(50):
-        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        b = complex(rng.uniform(0.5, 4), rng.uniform(-2, 2))
-        x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        if not kummer_transform_check(a, b, x, tolerance=1e-10):
-            transform_bad += 1
-
-    euler_worst = 0.0
-    for a, b in ((1.0, 2.0), (0.5, 1.5), (2.0, 3.5), (1.5, 4.0)):
-        for x in (-2.0, -0.5, 0.5, 2.0):
-            quad = euler_integral_1f1(a, b, x)
-            series = kummer_1f1(a, b, x).real
-            euler_worst = max(euler_worst, abs(quad - series) / (1 + abs(series)))
-
-    alt_bad = [
-        (N, k)
-        for N in range(1, 31)
-        for k in range(N + 1)
-        if not alternating_binomial_sum_check(N, k)
-    ]
-
-    ok = not log_bad and transform_bad == 0 and euler_worst <= 1e-10 and not alt_bad
     assert _verdict(
-        ok,
+        all(check.passed for check in results),
         "criterion 6",
-        f"log-series Stirling n <= 20 exact ({len(log_bad)} mismatches); "
-        f"Kummer transform on 50 seeded points ({transform_bad} failures); "
-        f"Euler integral vs series worst {euler_worst:.2e} (<= 1e-10); "
-        f"alternating binomial sum N <= 30 exact ({len(alt_bad)} mismatches)",
+        "; ".join(f"{check.name}: {check.detail}" for check in results),
     )
 
 

@@ -4,8 +4,9 @@
 replaces ``stirling_first``, ``laguerre`` and ``kummer_1f1`` where
 ``moments`` binds them, and reads the ``points`` argument of the two grid
 routines by position, so those bindings and that position are part of the
-contract too.  So is the import cost: the package, the CLI module and the
-exact subcommands load no numpy, checked in fresh interpreters.
+contract too.  So is the import cost: the package, the CLI module, the
+verify checks and the exact subcommands load no numpy, checked in fresh
+interpreters.
 """
 from __future__ import annotations
 
@@ -122,7 +123,7 @@ def _loads_numpy(code: str) -> str:
 
 
 def test_import_loads_no_numpy():
-    assert _loads_numpy("import sys, freemoments, freemoments.cli") == "False"
+    assert _loads_numpy("import sys, freemoments, freemoments.cli, freemoments.checks") == "False"
 
 
 def test_exact_subcommands_load_no_numpy():

@@ -7,8 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from freemoments import cli
+from freemoments import checks, cli
 from freemoments.exactcomb import IdentityCheck
+from freemoments.specfun import SeriesConvergenceError
 from freemoments.moments import moment_polynomial
 
 
@@ -146,10 +147,36 @@ class TestVerify:
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         broken = IdentityCheck(False, Fraction(1), Fraction(2))
-        monkeypatch.setattr(cli, "verify_stirling_identity", lambda l, m: broken)
+        monkeypatch.setattr(checks, "verify_stirling_identity", lambda l, m: broken)
         code, out = run(capsys, ["verify", "stirling", "--l-max", "2", "--m-max", "2"])
         assert code == 1
         assert "FAIL" in out
+
+    def test_all_suite_json(self, capsys):
+        code, out = run(capsys, ["verify", "all", "--format", "json"])
+        assert code == 0
+        assert [check["name"] for check in json.loads(out)["checks"]] == (
+            "stirling-identity stirling-log-series alternating-binomial-sum "
+            "kummer-transform euler-integral laguerre-terminating-series "
+            "moment-polynomials exp-image-moments fractional-moments "
+            "density-moments simulate-determinism"
+        ).split()
+
+    def test_refused_check_still_reports(self, capsys, monkeypatch):
+        def refuse(n, k):
+            raise SeriesConvergenceError("series lost its digits")
+
+        monkeypatch.setattr(checks, "stirling_via_log_series", refuse)
+        code, out = run(capsys, ["verify", "stirling", "--format", "json"])
+        assert code == 3
+        assert [tuple(check.values()) for check in json.loads(out)["checks"]] == [
+            ("stirling-identity", True, "144 (l, m) pairs exact"),
+            ("stirling-log-series", False, "refused: series lost its digits"),
+            ("alternating-binomial-sum", True, "partial alternating sums exact for N <= 30"),
+        ]
+        code, out = run(capsys, ["verify", "stirling"])
+        assert code == 3
+        assert "refused: series lost its digits" in out and out.split()[-1] == "FAIL"
 
 
 class TestDensity:

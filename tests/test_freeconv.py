@@ -578,7 +578,8 @@ class TestGridMoments:
         grid = density_grid(radius, -t, 0.0, -3.3, 2.3, 4000, 1e-3)
         contour = grid_moments(radius, -t, 0.0, -3.3, 2.3, 4000, 1e-3, 4)
         exact = float(semicircle_uniform_moment(4, t, -t, 0))
-        assert abs(contour[4] - exact) < abs(grid.moment(4) - exact) / 50
+        plain = np.trapezoid(grid.abscissae**4 * grid.values, grid.abscissae)
+        assert abs(contour[4] - exact) < abs(plain - exact) / 50
 
 
 class TestPushforwardAndSupport:
@@ -588,9 +589,8 @@ class TestPushforwardAndSupport:
         log_grid = density_grid(2.0, -0.5, 0.5, -edge - 0.25, edge + 0.25, 4000, 1e-3)
         pushed = exp_pushforward_density(log_grid)
         assert pushed.mass_estimate == pytest.approx(log_grid.mass_estimate, abs=1e-3)
-        assert pushed.moment(1) == pytest.approx(
-            free_lognormal_moment(1, t), rel=1e-3
-        )
+        first = np.trapezoid(pushed.abscissae * pushed.values, pushed.abscissae)
+        assert first == pytest.approx(free_lognormal_moment(1, t), rel=1e-3)
 
     def test_support_endpoints_multiply_to_one(self):
         for t in (0.1, 0.5, 1.0, 2.0, 8.0):
