@@ -40,7 +40,6 @@ from .specfun import (
     SeriesConvergenceError,
     _raise_not_finite,
     _series_1f1,
-    _series_past_float_range,
     kummer_1f1,
     laguerre,
 )
@@ -222,19 +221,6 @@ def free_lognormal_moment(n: int, t: float) -> float:
     return value
 
 
-def _moment_sum(a: complex, x: complex, s: complex) -> complex:
-    """``e^s 1F1(a; 2; x)``, one route to a fractional moment; when ``e^s`` or
-    the sum overflows, it is summed again with a carried binary exponent."""
-    try:
-        return cmath.exp(s) * _series_1f1(a, 2.0, x)[0]
-    except OverflowError:
-        pass
-    except SeriesConvergenceError as refusal:
-        if not isinstance(refusal.__cause__, OverflowError):
-            raise
-    return _series_past_float_range(a, 2.0, x, s)
-
-
 def _large_argument_moment(alpha: float, t: float) -> float:
     """``int x^alpha d nu_t`` at real alpha from the large-argument expansion
     of ``1F1`` (DLMF 13.7.2), a route that shares no term with the series.
@@ -280,15 +266,14 @@ def _large_argument_moment(alpha: float, t: float) -> float:
 def _reflected_moment_sum(alpha: complex, t: float) -> complex:
     """The Kummer-reflected sum ``e^(-alpha t/2) 1F1(1 + alpha; 2; alpha t)``."""
     alpha = complex(alpha)
-    return _moment_sum(1 + alpha, alpha * t, -alpha * t / 2.0)
+    return _series_1f1(1 + alpha, 2.0, alpha * t, -alpha * t / 2.0)[0]
 
 
 def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]:
     """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``.
 
-    A sum that overflows is summed past the float range.  At real alpha with
-    ``|alpha t| >= 30``, one sum that refuses even then (its terms cancel)
-    is replaced by :func:`_large_argument_moment`; otherwise the first
+    At real alpha with ``|alpha t| >= 30``, one sum that refuses (its terms
+    cancel) is replaced by :func:`_large_argument_moment`; otherwise the first
     refusal is raised.
     """
     sums: list = []
@@ -314,9 +299,11 @@ def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
     reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``.  Returns the
     reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would, and
     raises :class:`SeriesConvergenceError` if the two disagree beyond
-    ``1e-10`` relative to ``1 + |value|``.  A sum that overflows the float
-    range is summed again with a carried binary exponent, so a moment in
-    range is returned, and one past it raises.  At real alpha with
+    ``1e-10`` relative to ``1 + |value|``.  Each sum carries its binary
+    exponent and applies ``e^(+-alpha t/2)`` in the series kernel, so a
+    moment in range is returned even when the terms of its sums, or the
+    factor, pass the float range, and one past it raises.  Order
+    ``alpha = 0`` gives 1, the mass of the law.  At real alpha with
     ``|alpha t| >= 30`` the sum not returned may refuse because its terms
     cancel; the large-argument expansion of ``1F1`` then checks the returned
     one in its place.  Arguments that are nan or infinite raise
@@ -338,18 +325,18 @@ def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
 def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
     """Fractional moment by the direct series ``e^(alpha t/2) 1F1(1 - alpha; 2; -alpha t)``.
 
-    Term by term this is ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``.
-    A sum that overflows is summed again with a carried binary exponent.
-    Arguments that are nan or infinite raise ``ValueError``.
+    Term by term this is ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``
+    for nonzero alpha, and 1 at ``alpha = 0``.  The kernel carries the
+    sum's binary exponent and applies ``e^(alpha t/2)``, so terms past the
+    float range do not refuse a moment in range.  Arguments that are nan or
+    infinite raise ``ValueError``.
     """
     alpha = complex(alpha)
     if not (cmath.isfinite(alpha) and math.isfinite(t)):
         _raise_not_finite(alpha=alpha, t=t)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
     if t <= 0:
         raise ValueError("time must be positive")
-    return _moment_sum(1 - alpha, -alpha * t, alpha * t / 2.0)
+    return _series_1f1(1 - alpha, 2.0, -alpha * t, alpha * t / 2.0)[0]
 
 
 def additive_mgf(alpha: complex, t: float) -> complex:
@@ -364,8 +351,6 @@ def additive_mgf(alpha: complex, t: float) -> complex:
         _raise_not_finite(alpha=alpha, t=t)
     if t <= 0:
         raise ValueError("time must be positive")
-    if alpha == 0:
-        return 1 + 0j
     return kummer_1f1(1 - alpha, 2.0, -alpha * t)
 
 

@@ -89,23 +89,48 @@ def _raise_not_finite(**arguments: Scalar) -> None:
 _RELATIVE_TOLERANCE = 1e-15
 _MAX_TERMS = 10_000
 _CANCELLATION_LIMIT = 2.0**26  # largest term / |sum| past which half the digits are lost
+# A partial sum that passes _RESCALE is scaled by 1/_RESCALE, with the sum's
+# binary exponent carried apart, so that terms past the float range are summed
+_RESCALE_BITS = 512
+_RESCALE = 2.0**_RESCALE_BITS
+# e^s is a normal float for |Re s| < _EXP_NORMAL; past it, e^s is applied
+# as 2**m e^r with ln 2 split in two (Cody and Waite): m * _LN2_HI is exact
+# for |m| < 2**21
+_EXP_NORMAL = 708.0
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
-def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> tuple[complex, float]:
-    """The package's one series loop: ``1F1(a; b; x)``, or ``0F1(; b; x)`` for ``a=None``.
+def _series_1f1(
+    a: Union[complex, None], b: complex, x: complex, s: complex = 0
+) -> tuple[complex, float]:
+    """The package's one series loop: ``e^s 1F1(a; b; x)``, or ``e^s 0F1(; b; x)`` for ``a=None``.
 
-    Returns the sum and its largest term over its modulus, the factor by
-    which cancellation magnifies the rounding error (1 or less when nothing
-    cancels).  Each term is the last times ``(a+j) x / ((b+j)(j+1))``.  A
-    terminating series (``a = -N``) ends after its ``N``-th term, before any
+    Returns the value and the sum's largest term over its modulus, the factor
+    by which cancellation magnifies the rounding error (1 or less when
+    nothing cancels).  Each term is the last times ``(a+j) x / ((b+j)(j+1))``.
+    A terminating series (``a = -N``) ends after its ``N``-th term, before any
     pole in ``b``; one of ``_MAX_TERMS`` terms or more is refused as one that
-    does not settle.  A sum whose partial sum stops being finite, or whose
-    largest term exceeds ``2**26`` times its value (more than half of the
-    double-precision digits lost to cancellation), raises
-    :class:`SeriesConvergenceError`; the overflow refusal has an
-    ``OverflowError`` as its cause.  A terminating sum that fails the second
-    test is summed again exactly instead, when ``b`` and ``x`` are real
-    (:func:`_exact_polynomial_1f1`), and reported with factor 1.
+    does not settle.
+
+    Whenever the partial sum passes ``2**512`` on a term that is not small,
+    ``term``, ``total`` and ``largest`` are scaled by ``2**-512`` and 512 is
+    added to the sum's binary exponent.  Scaling by a power of two is exact,
+    so every ratio the loop tests is the one it would test in unbounded
+    range, and a sum whose terms pass the float range is summed in the same
+    pass.  At exponent 0 the value is ``e^s`` times the sum (the sum itself
+    for ``s = 0``); otherwise, or when ``e^s`` is not a normal float or the
+    product leaves the float range, ``e^s`` is applied as ``2**m e^r`` with
+    ``s = m ln 2 + r`` and the exponent added last, and a value past the
+    float range raises :class:`SeriesConvergenceError`.
+
+    A sum whose largest term exceeds ``2**26`` times its value (more than
+    half of the double-precision digits lost to cancellation), or that
+    overflows within one term, raises :class:`SeriesConvergenceError`.  A
+    terminating sum that reaches its last term and fails the first test is
+    summed again exactly instead, when ``b`` and ``x`` are real and its
+    terms stay in the float range (:func:`_exact_polynomial_1f1`), and
+    reported with factor 1.
 
     The operands are typed once: when ``a``, ``b`` and ``x`` all have zero
     imaginary parts the loop runs on floats.  That returns the same values
@@ -123,7 +148,9 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> tuple[comple
         p, q, z = a, b, x
         term = total = 1 + 0j
     largest = 1.0
+    exponent = 0
     previous_small = False
+    resum_exactly = False
     for j in range(_MAX_TERMS if end is None else end):
         if p is None:
             term = term * z / ((q + j) * (j + 1))
@@ -133,30 +160,57 @@ def _series_1f1(a: Union[complex, None], b: complex, x: complex) -> tuple[comple
         size = abs(term)
         if size > largest:
             largest = size
-        if size > _RELATIVE_TOLERANCE * abs(total):
+        magnitude = abs(total)
+        if size > _RELATIVE_TOLERANCE * magnitude:
             previous_small = False
+            if magnitude > _RESCALE:
+                term, total, largest = term / _RESCALE, total / _RESCALE, largest / _RESCALE
+                exponent += _RESCALE_BITS
         elif not cmath.isfinite(total):
             # an overflowed term makes the sum inf or nan, which no
             # comparison above can pass, so every overflow lands here
             raise SeriesConvergenceError(
                 f"series overflowed the float range (a={a}, b={b}, x={x})"
-            ) from OverflowError("partial sum is not finite")
+            )
         elif previous_small:
-            if largest > _CANCELLATION_LIMIT * abs(total):
-                raise SeriesConvergenceError(
-                    f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
-                )
-            return complex(total), largest / abs(total)
+            break
         else:
             previous_small = True
-    if end is None:
-        raise SeriesConvergenceError(
-            f"hypergeometric series did not settle within {_MAX_TERMS} terms "
-            f"(a={a}, b={b}, x={x})"
-        )
+    else:
+        if end is None:
+            raise SeriesConvergenceError(
+                f"hypergeometric series did not settle within {_MAX_TERMS} terms "
+                f"(a={a}, b={b}, x={x})"
+            )
+        # re-summed exactly only while its terms stay in the float range:
+        # past it, an exact sum of a few thousand terms takes a minute
+        resum_exactly = exponent <= _RESCALE_BITS and largest * 2.0**exponent < math.inf
     if largest > _CANCELLATION_LIMIT * abs(total):
-        return _exact_polynomial_1f1(end, b, x), 1.0
-    return complex(total), largest / abs(total)
+        if not resum_exactly:
+            raise SeriesConvergenceError(
+                f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
+            )
+        value, loss, exponent = _exact_polynomial_1f1(end, b, x), 1.0, 0
+    else:
+        value, loss = complex(total), largest / abs(total)
+    if exponent == 0:
+        if not s:
+            return value, loss
+        if abs(s.real) < _EXP_NORMAL:
+            product = cmath.exp(s) * value
+            if cmath.isfinite(product):
+                return product, loss
+    try:
+        if s:
+            m = round(s.real / math.log(2))
+            r = s.real - m * _LN2_HI - m * _LN2_LO
+            value = cmath.exp(complex(r, s.imag)) * value
+            exponent += m
+        return complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent)), loss
+    except OverflowError:
+        raise SeriesConvergenceError(
+            f"e^({s}) 1F1(a={a}, b={b}, x={x}) exceeds the float range"
+        ) from None
 
 
 def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:
@@ -179,77 +233,6 @@ def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:
     return complex(float(total))
 
 
-# A sum whose terms overflow is summed again with a carried binary exponent:
-# whenever the partial sum passes _RESCALE, it is scaled by 1/_RESCALE.
-_RESCALE_BITS = 512
-_RESCALE = 2.0**_RESCALE_BITS
-# ln 2 split in two (Cody and Waite): m * _LN2_HI is exact for |m| < 2**21
-_LN2_HI = 6.93147180369123816490e-01
-_LN2_LO = 1.90821492927058770002e-10
-
-
-def _series_past_float_range(a: complex, b: complex, x: complex, s: complex) -> complex:
-    """``e^s 1F1(a; b; x)`` for a sum whose terms overflow.
-
-    Sums the terms of :func:`_series_1f1` with its stopping rule, term limit
-    and cancellation refusal (a terminating sum that cancels is refused), but
-    keeps ``term``, ``total`` and ``largest`` times ``2**-exponent``.
-    Scaling by a power of two is exact, so every ratio the loop tests is the
-    one it would test in unbounded range.  ``e^s`` is applied at the end as
-    ``2**m e^r`` with ``s = m ln 2 + r``, so that it never overflows or
-    underflows on its own; a value past the float range raises
-    :class:`SeriesConvergenceError`.
-    """
-    end = _nonpositive_integer(a)
-    if end is not None and end >= _MAX_TERMS:
-        end = None
-    term = total = 1 + 0j
-    largest = 1.0
-    exponent = 0
-    previous_small = False
-    for j in range(_MAX_TERMS if end is None else end):
-        term = term * ((a + j) * x) / ((b + j) * (j + 1))
-        total += term
-        size = abs(term)
-        if size > largest:
-            largest = size
-        magnitude = abs(total)
-        if size > _RELATIVE_TOLERANCE * magnitude:
-            previous_small = False
-            if magnitude > _RESCALE:
-                term, total, largest = term / _RESCALE, total / _RESCALE, largest / _RESCALE
-                exponent += _RESCALE_BITS
-        elif not cmath.isfinite(total):
-            raise SeriesConvergenceError(
-                f"rescaled series overflowed the float range (a={a}, b={b}, x={x})"
-            )
-        elif previous_small:
-            break
-        else:
-            previous_small = True
-    else:
-        if end is None:
-            raise SeriesConvergenceError(
-                f"hypergeometric series did not settle within {_MAX_TERMS} terms "
-                f"(a={a}, b={b}, x={x})"
-            )
-    if largest > _CANCELLATION_LIMIT * abs(total):
-        raise SeriesConvergenceError(
-            f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
-        )
-    m = round(s.real / math.log(2))
-    r = s.real - m * _LN2_HI - m * _LN2_LO
-    value = cmath.exp(complex(r, s.imag)) * total
-    try:
-        return complex(
-            math.ldexp(value.real, m + exponent), math.ldexp(value.imag, m + exponent)
-        )
-    except OverflowError:
-        raise SeriesConvergenceError(
-            f"e^({s}) 1F1(a={a}, b={b}, x={x}) exceeds the float range"
-        ) from None
-
-
 def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     """Confluent hypergeometric function ``sum_j (a)_j / (b)_j x^j / j!``.
 
@@ -262,8 +245,9 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     and else the direct series is summed too and the sum whose largest term
     is the smaller multiple of its value wins (the reflected one on a tie,
     the other one when either refuses, and the direct one's refusal when
-    both do).  When both refuse and the reflected sum overflowed, it is
-    summed again past the float range (:func:`_series_past_float_range`).
+    both do).  A sum whose terms pass the float range is summed with a
+    carried binary exponent, so ``1F1(1; 2; -5000)`` returns; a value past
+    the float range raises :class:`SeriesConvergenceError`.
     Nonpositive-integer ``b`` is a pole unless the numerator terminates first.
     Arguments that are nan or infinite raise ``ValueError``.
     """
@@ -273,14 +257,9 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
     if _terminates(a, b) or x.real >= -1.0:
         return _series_1f1(a, b, x)[0]
     try:
-        reflected, reflected_loss = _series_1f1(b - a, b, -x)
-    except SeriesConvergenceError as refusal:
-        try:
-            return _series_1f1(a, b, x)[0]
-        except SeriesConvergenceError:
-            if not isinstance(refusal.__cause__, OverflowError):
-                raise
-        return _series_past_float_range(b - a, b, -x, x)
+        reflected, reflected_loss = _series_1f1(b - a, b, -x, x)
+    except SeriesConvergenceError:
+        return _series_1f1(a, b, x)[0]
     if reflected_loss > 1.0:
         try:
             direct, direct_loss = _series_1f1(a, b, x)
@@ -288,7 +267,7 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
             direct_loss = math.inf
         if direct_loss < reflected_loss:
             return direct
-    return cmath.exp(x) * reflected
+    return reflected
 
 
 def kummer_transform_check(
@@ -306,7 +285,7 @@ def kummer_transform_check(
         _raise_not_finite(a=a, b=b, x=x)
     _terminates(a, b)  # rejects a pole in b
     direct = _series_1f1(a, b, x)[0]
-    reflected = cmath.exp(x) * _series_1f1(b - a, b, -x)[0]
+    reflected = _series_1f1(b - a, b, -x, x)[0]
     return abs(direct - reflected) <= tolerance * (1 + abs(direct))
 
 
@@ -318,11 +297,17 @@ def _gamma_positive(v: float) -> float:
     return math.gamma(v)
 
 
-def euler_integral_1f1(a: float, b: float, x: float, *, tolerance: float = 1e-12) -> float:
+# the accuracy quad aims at in euler_integral_1f1, well inside the 1e-9 it accepts
+_QUAD_TOLERANCE = 1e-12
+
+
+def euler_integral_1f1(a: float, b: float, x: float) -> float:
     """``1F1(a; b; x)`` through the beta-weighted exponential integral.
 
     ``Gamma(b) / (Gamma(a) Gamma(b-a)) * int_0^1 u^(a-1) (1-u)^(b-a-1) e^(ux) du``
     for ``b > a > 0``; adaptive quadrature, independent of the series route.
+    A value whose quadrature error estimate exceeds ``1e-9`` times
+    ``max(1, |value|)`` raises :class:`SeriesConvergenceError`.
     """
     if not (a > 0 and b > a):
         raise ValueError("integral representation requires b > a > 0")
@@ -334,7 +319,7 @@ def euler_integral_1f1(a: float, b: float, x: float, *, tolerance: float = 1e-12
         return u ** (a - 1.0) * (1.0 - u) ** (b - a - 1.0) * math.exp(u * x)
 
     value, abserr = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=tolerance, epsrel=tolerance, limit=200
+        integrand, 0.0, 1.0, epsabs=_QUAD_TOLERANCE, epsrel=_QUAD_TOLERANCE, limit=200
     )
     if abserr > 1e-9 * max(1.0, abs(value)):
         raise SeriesConvergenceError(

@@ -80,6 +80,13 @@ class TestNu:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(math.exp(0.5), rel=1e-12)
 
+    def test_alpha_zero_is_the_mass(self, capsys):
+        # exited 2: the direct sum refused order 0
+        code, out = run(capsys, ["nu", "--alpha", "0", "--t", "1", "--format", "csv"])
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[1]) == float(row[2]) == 1.0
+
     def test_tiny_time_is_near_one(self, capsys):
         code, out = run(capsys, ["nu", "--n", "1", "--t", "0.000001", "--format", "csv"])
         assert code == 0

@@ -254,6 +254,12 @@ class TestFreeLogNormalMoments:
             math.exp(0.5), rel=1e-12
         )
 
+    def test_order_zero_is_the_mass(self):
+        # the direct route refused alpha = 0 with ValueError
+        for t in (0.5, 3.0):
+            assert free_lognormal_moment_alpha(0, t) == 1
+            assert free_lognormal_moment_alpha_series(0, t) == 1
+
     def test_alpha_series_agrees_on_complex_orders(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
         for _ in range(25):

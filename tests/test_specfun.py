@@ -159,6 +159,33 @@ class TestKummer1F1:
         assert value.imag == 0.0
         assert abs(value.real - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [
+            (1.4921391541679734, -17.118658148133274, 617.104372237269),  # 1.7e306
+            (0.07124536554876663, 6.0, 745.3074787539011 + 0.27233941655505994j),  # 3.9e307
+            (1 + 0.5j, 2, -800 + 3j),  # the reflected terms pass the float range
+            (23.858399787351665, 3.2406912886646597, -771.3261461634224 + 1.1993041813133358j),
+        ],
+    )
+    def test_terms_past_the_float_range_against_mpmath(self, a, b, x):
+        # the first two were refused while a sum whose terms overflowed was
+        # summed again only for Re x < -1, and the last came back as -0.0:
+        # e^x underflowed to 0 before it met a reflected sum of 3e285
+        with mpmath.workdps(40):
+            ref = complex(mpmath.hyp1f1(a, b, x))
+        assert abs(kummer_1f1(a, b, x) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("x", [-800.0, -720.0])
+    def test_underflowing_factor_is_applied_in_two_parts(self, x):
+        # 1F1(61; 1; x) = e^x L_60(-x): the polynomial, 1.4e90 and 1.4e87,
+        # stays in range, but e^x underflows to 0 or to a subnormal, and
+        # their product came back as 0 and 3e-12 off; the polynomial's
+        # terms cancel by a factor of 2e3 and 5e3
+        with mpmath.workdps(40):
+            ref = float(mpmath.hyp1f1(61, 1, x))
+        assert abs(kummer_1f1(61, 1, x) - ref) <= 1e-11 * ref
+
     def test_cancelled_terminating_sum_is_summed_exactly(self):
         # the float sums gave -7.07e19 and a value of the wrong sign; the
         # exact sum rounded once is the correctly rounded value
@@ -253,13 +280,72 @@ def _reference_series_1f1(a, b, x):
     )
 
 
-def _outcome(kernel, a, b, x):
+def _outcome(kernel, a, b, x, *s):
     """The bits of a kernel's value and loss ratio, or its exception."""
     try:
-        value, loss = kernel(a, b, x)
+        value, loss = kernel(a, b, x, *s)
     except Exception as error:  # noqa: BLE001 - the refusal itself is compared
         return type(error), str(error)
     return value.real.hex(), value.imag.hex(), loss.hex()
+
+
+def _overflowed(outcome) -> bool:
+    return outcome[0] is SeriesConvergenceError and "overflowed" in outcome[1]
+
+
+def _reference_past_float_range(a, b, x, s):
+    """``e^s 1F1(a; b; x)`` as a second pass with a carried binary exponent,
+    the way sums whose terms overflow were summed before the series kernel
+    carried the exponent itself: complex arithmetic throughout, ``e^s``
+    applied as ``2**m e^r``, a cancelled terminating sum refused."""
+    end = specfun._nonpositive_integer(a)
+    if end is not None and end >= specfun._MAX_TERMS:
+        end = None
+    term = total = 1 + 0j
+    largest = 1.0
+    exponent = 0
+    previous_small = False
+    for j in range(specfun._MAX_TERMS if end is None else end):
+        term = term * ((a + j) * x) / ((b + j) * (j + 1))
+        total += term
+        size = abs(term)
+        if size > largest:
+            largest = size
+        magnitude = abs(total)
+        if size > specfun._RELATIVE_TOLERANCE * magnitude:
+            previous_small = False
+            if magnitude > specfun._RESCALE:
+                term, total, largest = term / specfun._RESCALE, total / specfun._RESCALE, largest / specfun._RESCALE
+                exponent += specfun._RESCALE_BITS
+        elif not cmath.isfinite(total):
+            raise SeriesConvergenceError(
+                f"rescaled series overflowed the float range (a={a}, b={b}, x={x})"
+            )
+        elif previous_small:
+            break
+        else:
+            previous_small = True
+    else:
+        if end is None:
+            raise SeriesConvergenceError(
+                f"hypergeometric series did not settle within {specfun._MAX_TERMS} terms "
+                f"(a={a}, b={b}, x={x})"
+            )
+    if largest > specfun._CANCELLATION_LIMIT * abs(total):
+        raise SeriesConvergenceError(
+            f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
+        )
+    m = round(s.real / math.log(2))
+    r = s.real - m * specfun._LN2_HI - m * specfun._LN2_LO
+    value = cmath.exp(complex(r, s.imag)) * total
+    try:
+        return complex(
+            math.ldexp(value.real, m + exponent), math.ldexp(value.imag, m + exponent)
+        )
+    except OverflowError:
+        raise SeriesConvergenceError(
+            f"e^({s}) 1F1(a={a}, b={b}, x={x}) exceeds the float range"
+        ) from None
 
 
 def _operand(rng: random.Random, real_part: float, kind: str):
@@ -277,11 +363,15 @@ def _magnitude(rng: random.Random, low: float, high: float) -> float:
 
 
 class TestKernelIdentity:
-    """The kernel returns the same bits and refusals as the complex loop."""
+    """The kernel returns the same bits and refusals as the complex loop, and
+    as the second pass that summed past the float range."""
 
     def test_same_bits_as_the_complex_loop(self):
+        # where the complex loop refuses a sum that overflowed, the kernel
+        # carries the exponent on: it returns the value or refuses it
         rng = random.Random(14)
         kinds = ("float", "zero", "complex")
+        past_the_range = []
         for _ in range(20_000):
             shape = rng.randrange(5)
             if shape == 0:  # real operands: the float path
@@ -302,7 +392,54 @@ class TestKernelIdentity:
                 a = _magnitude(rng, -2.0, 1.6)
             a = None if a is None else _operand(rng, a, kind[0])
             b, x = _operand(rng, b, kind[1]), _operand(rng, x, kind[2])
-            assert _outcome(specfun._series_1f1, a, b, x) == _outcome(_reference_series_1f1, a, b, x), (a, b, x)
+            ours, reference = _outcome(specfun._series_1f1, a, b, x), _outcome(_reference_series_1f1, a, b, x)
+            if _overflowed(reference):
+                past_the_range.append((a, b, x, ours))
+            else:
+                assert ours == reference, (a, b, x)
+        returned = 0
+        for a, b, x, ours in past_the_range:
+            if ours[0] is SeriesConvergenceError:
+                continue
+            returned += 1
+            value = complex(float.fromhex(ours[0]), float.fromhex(ours[1]))
+            with mpmath.workdps(40):
+                ref = complex(mpmath.hyp0f1(b, x) if a is None else mpmath.hyp1f1(a, b, x))
+            assert abs(value - ref) <= 1e-13 * abs(ref), (a, b, x)
+        assert len(past_the_range) > 400 and returned > 0
+
+    def test_same_bits_as_the_rescaled_loop(self):
+        # sums whose terms overflow the float range, with e^s applied to them
+        rng = random.Random(17)
+        compared = returned = 0
+        while compared < 400:
+            kind = [rng.choice(("float", "zero", "complex")) for _ in range(3)]
+            if rng.randrange(3) == 0:  # terminating: a = -N
+                a = _operand(rng, -float(rng.randint(300, 1200)), rng.choice(("float", "zero")))
+            else:
+                a = _operand(rng, _magnitude(rng, -2.0, 1.6), kind[0])
+            # complex operands, as the callers pass them; zero imaginary
+            # parts take the float path
+            a, b, x = complex(a), complex(_operand(rng, rng.uniform(0.05, 30.0), kind[1])), complex(
+                _operand(rng, _magnitude(rng, 2.6, 3.5), kind[2])
+            )
+            if not _overflowed(_outcome(_reference_series_1f1, a, b, x)):
+                continue
+            s = rng.choice((-x, x / 2, -x / 2))
+            if rng.randrange(2):
+                s += complex(rng.uniform(-50.0, 50.0), rng.uniform(-10.0, 10.0))
+            try:
+                reference = _reference_past_float_range(a, b, x, s)
+            except SeriesConvergenceError as refusal:
+                with pytest.raises(SeriesConvergenceError) as ours:
+                    specfun._series_1f1(a, b, x, s)
+                assert str(ours.value) == str(refusal), (a, b, x, s)
+            else:
+                value = specfun._series_1f1(a, b, x, s)[0]
+                assert (value.real.hex(), value.imag.hex()) == (reference.real.hex(), reference.imag.hex()), (a, b, x, s)
+                returned += 1
+            compared += 1
+        assert returned > 50
 
     @pytest.mark.parametrize("max_terms", [1, 2, 30])
     def test_same_refusals_at_the_term_limit(self, monkeypatch, max_terms):
@@ -353,6 +490,10 @@ class TestEulerIntegral:
     def test_anchor(self):
         # 1F1(1; 2; 1) = e - 1
         assert euler_integral_1f1(1.0, 2.0, 1.0) == pytest.approx(math.e - 1, rel=1e-12)
+        # a hard point: u^(a-1) is nearly 1/u and e^(ux) falls by e^-100
+        with mpmath.workdps(30):
+            ref = float(mpmath.hyp1f1(0.01, 2, -100))
+        assert euler_integral_1f1(0.01, 2.0, -100.0) == pytest.approx(ref, rel=1e-10)
 
     def test_matches_series(self):
         for a, b in ((1.0, 2.0), (0.5, 1.5), (2.0, 3.5), (1.5, 4.0)):
