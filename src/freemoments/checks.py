@@ -145,7 +145,8 @@ def fractional_moments(
     """Direct vs Kummer-reflected sums of ``int x^alpha d nu_t`` at each of ``times``.
 
     ``alpha`` is drawn from ``rng``, uniform on the square ``|Re|, |Im| <= 5``
-    and kept when ``0.05 <= |alpha| <= 5``, until ``samples`` are kept.
+    and kept when ``0.05 <= |alpha| <= 5``, until ``samples`` are kept.  The
+    contour integral stands in for a sum that refuses.
     """
     worst = 0.0
     drawn = 0

@@ -10,6 +10,9 @@ Two deliberately independent routes exist for the time-coupled moments: a
 closed form in Stirling numbers and a quadratic recursion derived from the
 time evolution of the pair.  The recursion route never touches Stirling
 numbers, so the two implementations can act as oracles for each other.
+A fractional moment is returned only as a series sum that a second route
+confirms: the other series, or the contour integral of
+``freeconv._contour_mgf`` when that one refuses, disagrees or lost digits.
 
 The exact kernels sum integer numerators over one common denominator and
 build each returned ``Fraction`` once, instead of normalising a ``Fraction``
@@ -60,13 +63,9 @@ __all__ = [
 
 ExactScalar = Union[int, Fraction]
 
-# Largest relative gap |value - other| / (1 + |value|) accepted between the
-# direct and the Kummer-reflected fractional-moment sums, read at call time.
+# Largest relative gap |value - other| / (1 + |value|) accepted between two
+# fractional-moment routes, read at call time.
 _CROSS_CHECK_TOLERANCE = 1e-10
-# |alpha t| from which the large-argument expansion stands in for a
-# fractional-moment sum that refuses, at real alpha: the part it drops is of
-# relative size about e^(-|alpha t|), below 1e-13 here
-_LARGE_ARGUMENT = 30.0
 
 
 def _stirling_weights(k: int) -> list[tuple[int, int]]:
@@ -221,105 +220,78 @@ def free_lognormal_moment(n: int, t: float) -> float:
     return value
 
 
-def _large_argument_moment(alpha: float, t: float) -> float:
-    """``int x^alpha d nu_t`` at real alpha from the large-argument expansion
-    of ``1F1`` (DLMF 13.7.2), a route that shares no term with the series.
-
-    The moment is even in alpha (Kummer's transformation), so with
-    ``beta = |alpha|`` and ``z = beta t`` it is
-    ``e^(z/2) z^(beta - 1) / Gamma(1 + beta) sum_k (1 - beta)_k (-beta)_k / (k! z^k)``,
-    up to a part of relative size about ``e^(-z)``.  The sum stops after two
-    consecutive terms below ``1e-15`` of it, or where a nonpositive integer
-    ``1 - beta`` or ``-beta`` ends it; it raises
-    :class:`SeriesConvergenceError` once its terms grow before that, since the
-    expansion diverges.
-    """
-    beta = abs(alpha)
-    z = beta * t
-    term = total = 1.0
-    previous_small = False
-    k = 0
-    while term != 0.0:
-        step = (1.0 - beta + k) * (k - beta) / ((k + 1) * z)
-        if abs(step) >= 1.0:
-            raise SeriesConvergenceError(
-                f"large-argument expansion diverges before it settles (alpha={alpha}, t={t})"
-            )
-        term *= step
-        total += term
-        k += 1
-        if abs(term) > 1e-15 * abs(total):
-            previous_small = False
-        elif previous_small:
-            break
-        else:
-            previous_small = True
-    log_scale = 0.5 * z + (beta - 1.0) * math.log(z) - math.lgamma(1.0 + beta)
-    try:
-        return math.exp(log_scale) * total
-    except OverflowError:
-        raise SeriesConvergenceError(
-            f"moment {alpha} at t={t} exceeds the float range"
-        ) from None
-
-
-def _reflected_moment_sum(alpha: complex, t: float) -> complex:
-    """The Kummer-reflected sum ``e^(-alpha t/2) 1F1(1 + alpha; 2; alpha t)``."""
+def _moment_sums(alpha: complex, t: float) -> list:
+    """``(value, loss)`` of the direct and of the Kummer-reflected sum of
+    ``int x^alpha d nu_t``, or the :class:`SeriesConvergenceError` a sum
+    raised; when both refuse, the direct sum's refusal is raised."""
+    if not (cmath.isfinite(alpha) and math.isfinite(t)):
+        _raise_not_finite(alpha=alpha, t=t)
+    if t <= 0:
+        raise ValueError("time must be positive")
     alpha = complex(alpha)
-    return _series_1f1(1 + alpha, 2.0, alpha * t, -alpha * t / 2.0)[0]
+    sums: list = []
+    routes = ((1 - alpha, -alpha * t, alpha * t / 2.0), (1 + alpha, alpha * t, -alpha * t / 2.0))
+    for a, x, s in routes:
+        try:
+            sums.append(_series_1f1(a, 2.0, x, s))
+        except SeriesConvergenceError as refusal:
+            sums.append(refusal)
+    if isinstance(sums[0], SeriesConvergenceError) and isinstance(sums[1], SeriesConvergenceError):
+        raise sums[0]
+    return sums
+
+
+def _contour_moment(alpha: complex, t: float) -> complex:
+    """``int x^alpha d nu_t`` by :func:`freeconv._contour_mgf`, which loads numpy."""
+    from .freeconv import _contour_mgf
+
+    return _contour_mgf(complex(alpha), t, -t / 2.0, t / 2.0)
 
 
 def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]:
-    """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``.
-
-    At real alpha with ``|alpha t| >= 30``, one sum that refuses (its terms
-    cancel) is replaced by :func:`_large_argument_moment`; otherwise the first
-    refusal is raised.
-    """
-    sums: list = []
-    for route in (free_lognormal_moment_alpha_series, _reflected_moment_sum):
-        try:
-            sums.append(route(alpha, t))
-        except SeriesConvergenceError as refusal:
-            sums.append(refusal)
-    refusals = [r for r in sums if isinstance(r, SeriesConvergenceError)]
-    if refusals:
-        alpha = complex(alpha)
-        if len(refusals) == 2 or alpha.imag or abs(alpha.real * t) < _LARGE_ARGUMENT:
-            raise refusals[0]
-        stand_in = complex(_large_argument_moment(alpha.real, t))
-        sums = [stand_in if r is refusals[0] else r for r in sums]
-    return sums[0], sums[1]
+    """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``; the
+    contour integral stands in for one that refuses (see :func:`_moment_sums`)."""
+    return tuple(
+        _contour_moment(alpha, t) if isinstance(s, SeriesConvergenceError) else s[0]
+        for s in _moment_sums(alpha, t)
+    )
 
 
 def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
     """Fractional moment ``e^(alpha t / 2) 1F1(1 - alpha; 2; -alpha t)``.
 
-    Sums two different series: the direct one in ``-alpha t`` and its Kummer
-    reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``.  Returns the
-    reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would, and
-    raises :class:`SeriesConvergenceError` if the two disagree beyond
-    ``1e-10`` relative to ``1 + |value|``.  Each sum carries its binary
-    exponent and applies ``e^(+-alpha t/2)`` in the series kernel, so a
-    moment in range is returned even when the terms of its sums, or the
-    factor, pass the float range, and one past it raises.  Order
-    ``alpha = 0`` gives 1, the mass of the law.  At real alpha with
-    ``|alpha t| >= 30`` the sum not returned may refuse because its terms
-    cancel; the large-argument expansion of ``1F1`` then checks the returned
-    one in its place.  Arguments that are nan or infinite raise
+    Sums two different series, the direct one in ``-alpha t`` and its Kummer
+    reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``, and prefers the
+    reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would.  A
+    sum is returned only once a different route confirms it to ``1e-10``
+    relative to ``1 + |value|``: the other sum, when both lost at most
+    ``1e-10 * 2**53`` to cancellation (largest term over value); otherwise
+    the contour integral of ``freeconv._contour_mgf``, which is never
+    returned itself.  Else it raises :class:`SeriesConvergenceError`.  Each
+    sum carries its binary exponent, so a moment in range is returned even
+    when the terms or ``e^(+-alpha t/2)`` pass the float range.  Order
+    ``alpha = 0`` gives 1.  Arguments that are nan or infinite raise
     ``ValueError``.
     """
-    if not (cmath.isfinite(alpha) and math.isfinite(t)):
-        _raise_not_finite(alpha=alpha, t=t)
-    direct, reflected = _fractional_moment_sums(alpha, t)
-    alpha = complex(alpha)
-    value, other = (reflected, direct) if alpha.real * t > 1.0 else (direct, reflected)
-    if not abs(value - other) <= _CROSS_CHECK_TOLERANCE * (1 + abs(value)):
-        raise SeriesConvergenceError(
-            f"fractional-moment routes disagree at alpha={alpha}, t={t}: "
-            f"{value} vs {other}"
-        )
-    return value
+    sums = _moment_sums(alpha, t)
+    if complex(alpha).real * t > 1.0:
+        sums.reverse()
+    candidates = [s for s in sums if not isinstance(s, SeriesConvergenceError)]
+    tolerance = _CROSS_CHECK_TOLERANCE
+    if len(candidates) == 2:
+        (value, loss), (other, other_loss) = candidates
+        # a sum's rounding error is about its loss times 2**-53
+        trusted = max(loss, other_loss) <= tolerance * 2.0**53
+        if trusted and abs(value - other) <= tolerance * (1 + abs(value)):
+            return value
+    contour = _contour_moment(alpha, t)
+    for value, _ in candidates:
+        if abs(value - contour) <= tolerance * (1 + abs(value)):
+            return value
+    raise SeriesConvergenceError(
+        f"fractional-moment routes disagree at alpha={alpha}, t={t}: "
+        f"{[value for value, _ in candidates]} vs the contour integral {contour}"
+    )
 
 
 def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:

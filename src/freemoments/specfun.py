@@ -118,19 +118,16 @@ def _series_1f1(
     added to the sum's binary exponent.  Scaling by a power of two is exact,
     so every ratio the loop tests is the one it would test in unbounded
     range, and a sum whose terms pass the float range is summed in the same
-    pass.  At exponent 0 the value is ``e^s`` times the sum (the sum itself
-    for ``s = 0``); otherwise, or when ``e^s`` is not a normal float or the
-    product leaves the float range, ``e^s`` is applied as ``2**m e^r`` with
-    ``s = m ln 2 + r`` and the exponent added last, and a value past the
-    float range raises :class:`SeriesConvergenceError`.
+    pass.  :func:`_times_exp` applies ``e^s`` and the exponent, and a value
+    past the float range raises :class:`SeriesConvergenceError`.
 
     A sum whose largest term exceeds ``2**26`` times its value (more than
     half of the double-precision digits lost to cancellation), or that
     overflows within one term, raises :class:`SeriesConvergenceError`.  A
-    terminating sum that reaches its last term and fails the first test is
-    summed again exactly instead, when ``b`` and ``x`` are real and its
-    terms stay in the float range (:func:`_exact_polynomial_1f1`), and
-    reported with factor 1.
+    terminating sum that fails the first test, whether it settled before its
+    last term or reached it, is summed again exactly instead, when ``b`` and
+    ``x`` are real and its terms stay in the float range
+    (:func:`_exact_polynomial_1f1`), and reported with factor 1.
 
     The operands are typed once: when ``a``, ``b`` and ``x`` all have zero
     imaginary parts the loop runs on floats.  That returns the same values
@@ -144,13 +141,14 @@ def _series_1f1(
     if (a is None or a.imag == 0) and b.imag == 0 and x.imag == 0:
         p, q, z = (None if a is None else a.real), b.real, x.real
         term = total = 1.0
+        resum_exactly = end is not None
     else:
         p, q, z = a, b, x
         term = total = 1 + 0j
+        resum_exactly = False
     largest = 1.0
     exponent = 0
     previous_small = False
-    resum_exactly = False
     for j in range(_MAX_TERMS if end is None else end):
         if p is None:
             term = term * z / ((q + j) * (j + 1))
@@ -182,35 +180,43 @@ def _series_1f1(
                 f"hypergeometric series did not settle within {_MAX_TERMS} terms "
                 f"(a={a}, b={b}, x={x})"
             )
+        # it reached its last term; _exact_polynomial_1f1 refuses complex operands
+        resum_exactly = True
+    if largest > _CANCELLATION_LIMIT * abs(total):
         # re-summed exactly only while its terms stay in the float range:
         # past it, an exact sum of a few thousand terms takes a minute
-        resum_exactly = exponent <= _RESCALE_BITS and largest * 2.0**exponent < math.inf
-    if largest > _CANCELLATION_LIMIT * abs(total):
-        if not resum_exactly:
+        if not (resum_exactly and exponent <= _RESCALE_BITS and largest * 2.0**exponent < math.inf):
             raise SeriesConvergenceError(
                 f"series lost over half its digits to cancellation (a={a}, b={b}, x={x})"
             )
         value, loss, exponent = _exact_polynomial_1f1(end, b, x), 1.0, 0
     else:
         value, loss = complex(total), largest / abs(total)
-    if exponent == 0:
-        if not s:
-            return value, loss
-        if abs(s.real) < _EXP_NORMAL:
-            product = cmath.exp(s) * value
-            if cmath.isfinite(product):
-                return product, loss
     try:
-        if s:
-            m = round(s.real / math.log(2))
-            r = s.real - m * _LN2_HI - m * _LN2_LO
-            value = cmath.exp(complex(r, s.imag)) * value
-            exponent += m
-        return complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent)), loss
+        return _times_exp(value, exponent, s), loss
     except OverflowError:
         raise SeriesConvergenceError(
             f"e^({s}) 1F1(a={a}, b={b}, x={x}) exceeds the float range"
         ) from None
+
+
+def _times_exp(value: complex, exponent: int, s: complex) -> complex:
+    """``2**exponent e^s value``: the plain product where that is safe, else
+    ``2**(m + exponent) e^r value`` with ``s = m ln 2 + r``.  Raises
+    ``OverflowError`` past the float range."""
+    if exponent == 0:
+        if not s:
+            return value
+        if abs(s.real) < _EXP_NORMAL:
+            product = cmath.exp(s) * value
+            if cmath.isfinite(product):
+                return product
+    if s:
+        m = round(s.real / math.log(2))
+        r = s.real - m * _LN2_HI - m * _LN2_LO
+        value = cmath.exp(complex(r, s.imag)) * value
+        exponent += m
+    return complex(math.ldexp(value.real, exponent), math.ldexp(value.imag, exponent))
 
 
 def _exact_polynomial_1f1(n: int, b: complex, x: complex) -> complex:

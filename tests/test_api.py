@@ -126,6 +126,16 @@ def test_import_loads_no_numpy():
     assert _loads_numpy("import sys, freemoments, freemoments.cli, freemoments.checks") == "False"
 
 
+def test_fractional_moment_the_sums_settle_loads_no_numpy():
+    # the contour integral, which needs numpy, is imported only when the
+    # two series cannot settle the value between them
+    code = (
+        "import sys; from freemoments.moments import free_lognormal_moment_alpha; "
+        "free_lognormal_moment_alpha(0.5 + 0.5j, 1.0)"
+    )
+    assert _loads_numpy(code) == "False"
+
+
 def test_exact_subcommands_load_no_numpy():
     commands = [
         ["moments", "--n-max", "8", "--oracle"],

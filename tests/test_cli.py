@@ -126,6 +126,19 @@ class TestNu:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    def test_refused_sum_is_replaced_by_the_contour_integral(self, capsys):
+        # the direct sum cancels; it exited 3 with "lost over half its
+        # digits", since |alpha t| = 27.3 was below the large-argument gate
+        code, out = run(capsys, ["nu", "--alpha=0.5787", "--t", "47.09", "--format", "csv"])
+        assert code == 0
+        _, direct, reflected, rel_diff = out.strip().splitlines()[1].split(",")
+        with mpmath.workdps(40):
+            alpha, t = mpmath.mpf(0.5787), mpmath.mpf(47.09)
+            ref = float(mpmath.exp(alpha * t / 2) * mpmath.hyp1f1(1 - alpha, 2, -alpha * t))
+        for value in (float(direct), float(reflected)):
+            assert abs(value - ref) <= 1e-13 * ref
+        assert float(rel_diff) <= 1e-13
+
     def test_overflowing_order_is_numerical_failure(self, capsys):
         code = cli.main(["nu", "--alpha=200", "--t", "50"])
         capsys.readouterr()

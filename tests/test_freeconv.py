@@ -24,6 +24,7 @@ from freemoments.freeconv import (
     grid_moments,
 )
 from freemoments.moments import free_lognormal_moment, semicircle_uniform_moment
+from freemoments.specfun import SeriesConvergenceError
 
 
 def quad_transform(density, lo: float, hi: float, z: complex) -> complex:
@@ -580,6 +581,48 @@ class TestGridMoments:
         exact = float(semicircle_uniform_moment(4, t, -t, 0))
         plain = np.trapezoid(grid.abscissae**4 * grid.values, grid.abscissae)
         assert abs(contour[4] - exact) < abs(plain - exact) / 50
+
+
+def free_sum_mgf(alpha: complex, c: float, lo: float, hi: float) -> complex:
+    """``E[e^(alpha X)]`` for ``X ~ Semicircle(2 sqrt c) boxplus Uniform[lo, hi]``
+    in 40-digit mpmath: ``e^(alpha hi) 1F1(1 - alpha c / w; 2; -alpha w)``,
+    ``w = hi - lo``."""
+    with mpmath.workdps(40):
+        a, c, lo, hi = mpmath.mpmathify(alpha), mpmath.mpf(c), mpmath.mpf(lo), mpmath.mpf(hi)
+        w = hi - lo
+        return complex(mpmath.exp(a * hi) * mpmath.hyp1f1(1 - a * c / w, 2, -a * w))
+
+
+class TestContourMgf:
+    @pytest.mark.parametrize("c, lo, hi", [(0.7, -0.3, 1.9), (2.0, -5.0, -1.0), (25.0, 0.0, 0.1)])
+    @pytest.mark.parametrize("alpha", [1.5, -3.0, 6.0, 2 + 1j, -2.5 - 0.5j, 4j, 1 + 3j])
+    def test_asymmetric_laws_against_mpmath(self, c, lo, hi, alpha):
+        # moments.mgf refuses (25, 0, 0.1) at 4j and 1 + 3j, where its
+        # 1F1 sum cancels, and is 3.1e-9 off at (2, -5, -1), 4j
+        reference = free_sum_mgf(alpha, c, lo, hi)
+        value = freeconv._contour_mgf(complex(alpha), c, lo, hi)
+        assert abs(value - reference) <= 1e-13 * (1 + abs(reference))
+        if isinstance(alpha, float):
+            assert value.imag == 0.0
+
+    @pytest.mark.parametrize("alpha, t", [(5.0, 200.0), (2.5, 400.0), (-3.0, 300.0)])
+    def test_values_near_the_float_maximum(self, alpha, t):
+        # the integrand reaches about e^531 at (5, 200); it is scaled by its
+        # largest modulus, applied to the value at the end
+        reference = free_sum_mgf(alpha, t, -t / 2, t / 2)
+        value = freeconv._contour_mgf(complex(alpha), t, -t / 2, t / 2)
+        assert abs(value - reference) <= 1e-11 * abs(reference)
+
+    def test_refusals(self, monkeypatch):
+        with pytest.raises(SeriesConvergenceError, match="float range"):
+            freeconv._contour_mgf(5 + 0j, 400.0, -200.0, 200.0)
+        # e^(30 i z) oscillates across the support: the value is 2.1e-4 and
+        # the largest term more than 2^26 times that
+        with pytest.raises(SeriesConvergenceError, match="half its digits"):
+            freeconv._contour_mgf(30j, 16.0, -8.0, 8.0)
+        monkeypatch.setattr(freeconv, "_CONTOUR_MAX_NODES", 64)
+        with pytest.raises(SeriesConvergenceError, match="did not settle"):
+            freeconv._contour_mgf(1 + 0j, 1.0, -0.5, 0.5)
 
 
 class TestPushforwardAndSupport:

@@ -10,7 +10,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemoments import moments
+from freemoments import freeconv, moments
 from freemoments.exactcomb import stirling_first
 from freemoments.measures import (
     Dirac,
@@ -281,8 +281,8 @@ class TestFreeLogNormalMoments:
     def test_moments_past_the_float_range_of_the_sums(self, alpha, t):
         # 1.193e227, 1.34e221 and 3.68e200: one series or both overflow
         # before the factor e^(-+alpha t / 2) is applied; at (2.5, 400) the
-        # direct series also cancels, and the large-argument expansion
-        # checks the reflected one in its place
+        # direct series also cancels, and the contour integral confirms the
+        # reflected one in its place
         with mpmath.workdps(30):
             reference = mpmath.exp(mpmath.mpf(alpha) * t / 2) * mpmath.hyp1f1(
                 1 - alpha, 2, -alpha * t
@@ -296,20 +296,77 @@ class TestFreeLogNormalMoments:
         with pytest.raises(SeriesConvergenceError):
             free_lognormal_moment_alpha(alpha, t)
 
-    def test_large_argument_stand_in_is_checked(self, monkeypatch):
-        # the stand-in is a check, not a value: one that is off by 1e-9
-        # makes the routes disagree
-        exact = moments._large_argument_moment
+    def test_contour_is_a_check_not_a_value(self, monkeypatch):
+        # at (2.5, 400) the direct sum refuses and the contour integral
+        # confirms the reflected one; a contour that is off by 1e-9 makes
+        # the routes disagree, and it never confirms itself
+        exact = freeconv._contour_mgf
         monkeypatch.setattr(
-            moments, "_large_argument_moment", lambda alpha, t: exact(alpha, t) * (1 + 1e-9)
+            freeconv, "_contour_mgf", lambda alpha, c, lo, hi: exact(alpha, c, lo, hi) * (1 + 1e-9)
         )
         with pytest.raises(SeriesConvergenceError, match="disagree"):
             free_lognormal_moment_alpha(2.5, 400)
 
+    def test_sums_that_agree_with_small_loss_need_no_contour(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the contour integral was consulted")
+
+        monkeypatch.setattr(freeconv, "_contour_mgf", refuse)
+        for alpha, t in ((0.5, 1.0), (3.0, 2.0), (-2.0, 0.5), (1.5 - 2j, 1.0), (-4 + 3j, 2.0)):
+            free_lognormal_moment_alpha(alpha, t)
+
+    def test_sums_that_lost_digits_do_not_confirm_each_other(self):
+        # both sums lose about 7 digits (largest-term ratios 8.5e6 and
+        # 1.5e7) and agree to 6e-11 relative to 1 + |value|, so the direct
+        # one was returned, 4.6e-10 off the 40-digit value; the contour
+        # integral is 7e-15 off and confirms neither
+        alpha, t = -0.8068090000082826 - 4.807018015659093j, 3.0
+        (direct, direct_loss), (reflected, reflected_loss) = moments._moment_sums(alpha, t)
+        assert abs(direct - reflected) <= moments._CROSS_CHECK_TOLERANCE * (1 + abs(direct))
+        assert min(direct_loss, reflected_loss) > moments._CROSS_CHECK_TOLERANCE * 2.0**53
+        with mpmath.workdps(40):
+            a = mpmath.mpc(alpha)
+            reference = complex(mpmath.exp(a * t / 2) * mpmath.hyp1f1(1 - a, 2, -a * t))
+        assert abs(direct - reference) > 1e-10 * (1 + abs(reference))
+        assert abs(moments._contour_moment(alpha, t) - reference) <= 1e-13 * abs(reference)
+        with pytest.raises(SeriesConvergenceError, match="disagree"):
+            free_lognormal_moment_alpha(alpha, t)
+
+    @pytest.mark.parametrize("alpha,t", [(-4.5183, 11.2), (-0.0616, 281.7), (0.5787, 47.09)])
+    def test_moments_the_sums_could_not_settle(self, alpha, t):
+        # refused while a second sum that cancelled, or an |alpha t| below
+        # the large-argument expansion's gate, left no route to confirm them
+        with mpmath.workdps(40):
+            reference = float(
+                mpmath.exp(mpmath.mpf(alpha) * t / 2) * mpmath.hyp1f1(1 - alpha, 2, -alpha * t)
+            )
+        value = free_lognormal_moment_alpha(alpha, t)
+        assert value.imag == 0.0
+        assert abs(value.real - reference) <= 1e-13 * abs(reference)
+
+    @pytest.mark.parametrize("t", [8.0, 16.0])
+    def test_complex_orders_accurate_or_refused(self, t):
+        # 28 and 18 of the 40 draws return, against 17 and 1 when a sum
+        # that refused, or two that disagreed, refused the moment
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(18)))
+        returned = 0
+        for _ in range(40):
+            alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
+            try:
+                value = free_lognormal_moment_alpha(alpha, t)
+            except SeriesConvergenceError:
+                continue
+            returned += 1
+            with mpmath.workdps(40):
+                a = mpmath.mpc(alpha)
+                reference = complex(mpmath.exp(a * t / 2) * mpmath.hyp1f1(1 - a, 2, -a * t))
+            assert abs(value - reference) <= 1e-10 * (1 + abs(reference)), alpha
+        assert returned >= 18
+
     def test_large_arguments_against_mpmath(self):
-        # real alpha, |alpha t| up to 800; each value returned is within
-        # 1e-12 of the 30-digit one, and 38 of the 40 are returned (4 were,
-        # when a sum that overflowed or cancelled was refused)
+        # real alpha, |alpha t| up to 800; every value is returned, within
+        # 1e-12 of the 30-digit one (4 were, when a sum that overflowed or
+        # cancelled was refused, and 38 with the large-argument expansion)
         rng = np.random.default_rng(15)
         returned = 0
         for alpha, t in zip(rng.uniform(-8, 8, 40), rng.uniform(2, 100, 40)):
@@ -324,7 +381,7 @@ class TestFreeLogNormalMoments:
                 continue
             returned += 1
             assert abs(value - reference) <= 1e-12 * abs(reference), (alpha, t)
-        assert returned >= 35
+        assert returned == 40
 
     def test_exp_image_agreement_report(self):
         report = verify_exp_image_moments(25, 4.0)

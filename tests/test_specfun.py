@@ -199,6 +199,14 @@ class TestKummer1F1:
         with pytest.raises(SeriesConvergenceError):
             kummer_1f1(-60, 1, 50 + 1e-3j)
 
+    def test_cancelled_terminating_sum_that_settles_early_is_summed_exactly(self):
+        # the float sum settles long before its 1000th term and cancels;
+        # it was refused, since only a sum that reached its last term was
+        # summed again exactly
+        with mpmath.workdps(60):
+            ref = float(mpmath.hyp1f1(-1000, 7.3, 9.7))
+        assert kummer_1f1(-1000, 7.3, 9.7) == ref == -6.232185761373414e-10
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.floats(min_value=-20, max_value=20),
@@ -293,6 +301,19 @@ def _overflowed(outcome) -> bool:
     return outcome[0] is SeriesConvergenceError and "overflowed" in outcome[1]
 
 
+def _cancelled_real_polynomial(outcome, a, b, x) -> bool:
+    """Whether the outcome refuses a terminating sum with real ``b`` and
+    ``x`` for cancellation."""
+    return (
+        outcome[0] is SeriesConvergenceError
+        and "cancellation" in outcome[1]
+        and a is not None
+        and specfun._nonpositive_integer(complex(a)) is not None
+        and complex(b).imag == 0
+        and complex(x).imag == 0
+    )
+
+
 def _reference_past_float_range(a, b, x, s):
     """``e^s 1F1(a; b; x)`` as a second pass with a carried binary exponent,
     the way sums whose terms overflow were summed before the series kernel
@@ -372,6 +393,7 @@ class TestKernelIdentity:
         rng = random.Random(14)
         kinds = ("float", "zero", "complex")
         past_the_range = []
+        cancelled = []
         for _ in range(20_000):
             shape = rng.randrange(5)
             if shape == 0:  # real operands: the float path
@@ -395,6 +417,8 @@ class TestKernelIdentity:
             ours, reference = _outcome(specfun._series_1f1, a, b, x), _outcome(_reference_series_1f1, a, b, x)
             if _overflowed(reference):
                 past_the_range.append((a, b, x, ours))
+            elif _cancelled_real_polynomial(reference, a, b, x) and ours != reference:
+                cancelled.append((a, b, x, ours))
             else:
                 assert ours == reference, (a, b, x)
         returned = 0
@@ -407,6 +431,14 @@ class TestKernelIdentity:
                 ref = complex(mpmath.hyp0f1(b, x) if a is None else mpmath.hyp1f1(a, b, x))
             assert abs(value - ref) <= 1e-13 * abs(ref), (a, b, x)
         assert len(past_the_range) > 400 and returned > 0
+        # where the complex loop refuses a real terminating sum that settled
+        # before its last term and cancelled, the kernel sums it exactly
+        for a, b, x, ours in cancelled:
+            value = complex(float.fromhex(ours[0]), float.fromhex(ours[1]))
+            with mpmath.workdps(60):
+                ref = complex(mpmath.hyp1f1(a, b, x))
+            assert abs(value - ref) <= 1e-13 * abs(ref), (a, b, x)
+        assert cancelled
 
     def test_same_bits_as_the_rescaled_loop(self):
         # sums whose terms overflow the float range, with e^s applied to them
