@@ -1,12 +1,13 @@
 """Exact and numerical moment machinery for free additive convolutions of
 semicircle and uniform laws, and for the free log-normal spectral law.
 
-The exact layers (``exactcomb``, ``ratpoly``, ``moments``, ``specfun``) and
-the measure specifications load with the package and need neither numpy nor
-scipy.  The numerical layers, ``freeconv`` (subordination solver, density
-grids) and ``rmtlab`` (random-matrix lab), load numpy: their names are
-resolved on first access, so ``import freemoments`` stays cheap for exact
-work.  Their typed errors load eagerly and are the same classes that
+The exact layers (``exactcomb``, ``ratpoly``, ``moments``, ``specfun``) load
+with the package and need neither numpy nor scipy.  Three modules have their
+names resolved on first access, so ``import freemoments`` stays cheap for
+exact work: the numerical layers ``freeconv`` (subordination solver, density
+grids) and ``rmtlab`` (random-matrix lab), which load numpy, and the measure
+specifications of ``measures``, which load ``dataclasses``.  The typed errors
+of the numerical layers load eagerly and are the same classes that
 ``freeconv`` and ``rmtlab`` export.
 """
 from __future__ import annotations
@@ -22,16 +23,6 @@ from .exactcomb import (
     stirling_first,
     stirling_via_log_series,
     verify_stirling_identity,
-)
-from .measures import (
-    Dirac,
-    ExpImage,
-    FreeLogNormal,
-    FreeSum,
-    MeasureSpec,
-    Scaled,
-    Semicircle,
-    Uniform,
 )
 from .moments import (
     MomentAgreement,
@@ -55,8 +46,22 @@ from .specfun import (
     laguerre,
 )
 
-# public names of the numpy-backed layers, imported on first access (PEP 562)
+# public names of the numpy-backed layers and of the measure specifications,
+# imported on first access (PEP 562)
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "Dirac",
+            "ExpImage",
+            "FreeLogNormal",
+            "FreeSum",
+            "MeasureSpec",
+            "Scaled",
+            "Semicircle",
+            "Uniform",
+        ),
+        "measures",
+    ),
     **dict.fromkeys(
         (
             "DensityGrid",

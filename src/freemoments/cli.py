@@ -21,8 +21,9 @@ from fractions import Fraction
 from io import StringIO
 from typing import Sequence
 
-# numpy-free imports only: the handlers that need the numerical layers
-# (freeconv, rmtlab) or the verify checks import them when they run
+# only imports that load neither numpy nor dataclasses: the handlers that
+# need the numerical layers (freeconv, rmtlab) or the verify checks import
+# them when they run
 from ._errors import SubordinationError
 from .moments import (
     _fractional_moment_sums,

@@ -208,6 +208,41 @@ def _biane_curve(c: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return lo + ulo + c * real, g
 
 
+def _biane_apex_angle(c: float, width: float) -> float:
+    """The largest angle ``theta*`` on Biane's curve (:func:`_biane_curve`),
+    reached at ``u = mid``, where the curve is ``c theta* / width`` high.
+
+    It is the root in ``(0, pi)`` of the curve's equation at ``u = mid``,
+    ``(h^2 - (c theta / width)^2) sinc(theta) + c cos(theta) = 0``, whose
+    left side is ``h^2 + c`` at 0, ``-c`` at pi and changes sign once.
+    Newton runs from the same upper bound as in :func:`_biane_curve`; a step
+    that leaves the bracket of the last sign change bisects it instead.
+    """
+    half_sq = 0.25 * width * width
+    k = (c / width) ** 2
+    below, above = 0.0, math.pi  # the value is positive below the root
+    theta = min(math.sqrt((c + half_sq) / (c / 3.0 + k)), math.pi)
+    for _ in range(100):
+        sin, cos = math.sin(theta), math.cos(theta)
+        sinc = sin / theta
+        factor = half_sq - k * theta * theta
+        value = factor * sinc + c * cos
+        if value > 0.0:
+            below = theta
+        else:
+            above = theta
+        # d sinc / d theta, by its series where the quotient cancels
+        dsinc = (cos - sinc) / theta if theta > 1e-3 else -theta / 3.0
+        slope = factor * dsinc - 2.0 * k * theta * sinc - c * sin
+        step = value / slope
+        if not below <= theta - step <= above:
+            step = theta - 0.5 * (below + above)
+        theta -= step
+        if not abs(step) > 4.0 * _EPS * theta:
+            break
+    return theta
+
+
 def _real_axis_start(z: np.ndarray, c: float, lo: float, hi: float) -> np.ndarray:
     """First guess for the Newton stage: the boundary value ``G(Re z + i0)``,
     interpolated linearly in ``Re z`` between samples of the real axis.
@@ -579,18 +614,19 @@ def _contour_mgf(alpha: complex, c: float, lo: float, hi: float) -> complex:
     subordination variable w, ``z(w) = w + c G_U(w)``, around ``[lo, hi]``.
 
     The contour is the ellipse through Biane's points ``mid ± sqrt(h^2 + c)``
-    as high as Biane's curve (:func:`_biane_curve`), on which z stays near
-    the real axis; the trapezoid rule in the angle converges geometrically
-    (Trefethen and Weideman, SIAM Rev. 56, 2014).  ``e^(alpha z)`` is scaled
-    by its largest modulus on the first nodes.  Raises
-    :class:`SeriesConvergenceError` when the sum does not settle, when its
-    largest term exceeds ``2**26`` times the value, or past the float range.
+    as high as the apex of Biane's curve (:func:`_biane_apex_angle`), on
+    which z stays near the real axis; the trapezoid rule in the angle
+    converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    ``e^(alpha z)`` is scaled by its largest modulus on the first nodes.
+    Raises :class:`SeriesConvergenceError` when the sum does not settle, when
+    its largest term exceeds ``2**26`` times the value, or past the float
+    range.
     """
     width = hi - lo
     half = 0.5 * width
     spread = math.sqrt(half * half + c)
     gap = c / (spread + half)  # spread - half without cancellation
-    height = -c * float(_biane_curve(c, lo, hi)[1].imag.min())
+    height = (c / width) * _biane_apex_angle(c, width)
     law = f"(alpha={alpha}, c={c}, lo={lo}, hi={hi})"
     nodes, new, shift = _CONTOUR_NODES, slice(None), None
     total, largest, value = 0j, 0.0, math.nan  # the first sum has none to agree with

@@ -22,22 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .exactcomb import _stirling_rows
 from .exactcomb import stirling_first  # noqa: F401  (perfbench/tracing.py patches it here)
-from .measures import (
-    Dirac,
-    ExpImage,
-    FreeLogNormal,
-    FreeSum,
-    MeasureSpec,
-    Scaled,
-    Semicircle,
-    Uniform,
-)
 from .ratpoly import RationalPolynomial
 from .specfun import (
     SeriesConvergenceError,
@@ -46,6 +35,9 @@ from .specfun import (
     kummer_1f1,
     laguerre,
 )
+
+if TYPE_CHECKING:
+    from .measures import FreeSum, MeasureSpec
 
 __all__ = [
     "moment_polynomial",
@@ -326,8 +318,7 @@ def additive_mgf(alpha: complex, t: float) -> complex:
     return kummer_1f1(1 - alpha, 2.0, -alpha * t)
 
 
-@dataclass(frozen=True)
-class MomentAgreement:
+class MomentAgreement(NamedTuple):
     """Side-by-side integer moments of the free log-normal law via two routes."""
 
     time: float
@@ -376,33 +367,30 @@ def verify_exp_image_moments(
 
 
 # ---------------------------------------------------------------------------
-# dispatch over measure specifications
-
-
-def _flatten_free_sum(parts) -> list[MeasureSpec]:
-    flat: list[MeasureSpec] = []
-    for part in parts:
-        if isinstance(part, FreeSum):
-            flat.extend(_flatten_free_sum(part.parts))
-        else:
-            flat.append(part)
-    return flat
+# dispatch over measure specifications; the classes load on first use, so
+# importing this module does not load dataclasses
 
 
 def _free_sum_components(parts):
-    """Split a free sum into (semicircle | None, uniform | None, shift)."""
+    """Split a free sum, nested sums flattened, into
+    (semicircle | None, uniform | None, shift)."""
+    from .measures import Dirac, FreeSum, Semicircle, Uniform
+
     semicircle = None
     uniform = None
     shift = Fraction(0)
-    for part in _flatten_free_sum(parts):
-        if isinstance(part, Semicircle):
+    pending = list(reversed(parts))  # depth first, left to right
+    while pending:
+        part = pending.pop()
+        if isinstance(part, FreeSum):
+            pending.extend(reversed(part.parts))
+        elif isinstance(part, Semicircle):
             if semicircle is not None:
                 raise ValueError("free sum supports at most one semicircle part")
             semicircle = part
+        elif isinstance(part, Uniform) and part.lo == part.hi:
+            shift += Fraction(part.lo)
         elif isinstance(part, Uniform):
-            if part.lo == part.hi:
-                shift += Fraction(part.lo)
-                continue
             if uniform is not None:
                 raise ValueError("free sum supports at most one uniform part")
             uniform = part
@@ -423,6 +411,8 @@ def moment(measure: MeasureSpec, order: int) -> Union[Fraction, float]:
     masses, their scalings and free sums); float for exponential images and
     the free log-normal law.
     """
+    from .measures import Dirac, ExpImage, FreeLogNormal, FreeSum, Scaled, Semicircle, Uniform
+
     if order < 0:
         raise ValueError("order must be a natural number")
     if isinstance(measure, Semicircle):
@@ -454,6 +444,8 @@ def moment(measure: MeasureSpec, order: int) -> Union[Fraction, float]:
 
 
 def _free_sum_moment(measure: FreeSum, order: int) -> Fraction:
+    from .measures import Uniform
+
     semicircle, uniform, shift = _free_sum_components(measure.parts)
     if semicircle is None and uniform is None:
         return shift**order
@@ -481,6 +473,8 @@ def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     images and the free log-normal law are out of scope here (their linear
     moments live in :func:`moment`).
     """
+    from .measures import Dirac, FreeSum, Scaled, Semicircle, Uniform
+
     alpha = complex(alpha)
     if isinstance(measure, Dirac):
         return cmath.exp(alpha * complex(measure.center))

@@ -5,8 +5,9 @@ replaces ``stirling_first``, ``laguerre`` and ``kummer_1f1`` where
 ``moments`` binds them, and reads the ``points`` argument of the two grid
 routines by position, so those bindings and that position are part of the
 contract too.  So is the import cost: the package, the CLI module, the
-verify checks and the exact subcommands load no numpy, checked in fresh
-interpreters.
+verify checks and the exact subcommands load neither numpy nor
+``dataclasses`` (the measure specifications load on first use), checked in
+fresh interpreters.
 """
 from __future__ import annotations
 
@@ -112,18 +113,20 @@ def test_typed_errors_are_one_class_each():
     assert freemoments.PositivityError is rmtlab.PositivityError
 
 
-def _loads_numpy(code: str) -> str:
+def _loaded(code: str, modules=("numpy", "dataclasses", "freemoments.measures")) -> list[str]:
+    """The names in ``modules`` that a fresh interpreter has loaded after ``code``."""
     out = subprocess.run(
-        [sys.executable, "-c", code + "; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nprint(*(m for m in {modules!r} if m in sys.modules))"],
         capture_output=True,
         text=True,
         check=True,
     )
-    return out.stdout.split()[-1]
+    return out.stdout.splitlines()[-1].split()
 
 
 def test_import_loads_no_numpy():
-    assert _loads_numpy("import sys, freemoments, freemoments.cli, freemoments.checks") == "False"
+    # nor dataclasses: the measure specifications load on first use
+    assert _loaded("import sys, freemoments, freemoments.cli, freemoments.checks") == []
 
 
 def test_fractional_moment_the_sums_settle_loads_no_numpy():
@@ -133,7 +136,7 @@ def test_fractional_moment_the_sums_settle_loads_no_numpy():
         "import sys; from freemoments.moments import free_lognormal_moment_alpha; "
         "free_lognormal_moment_alpha(0.5 + 0.5j, 1.0)"
     )
-    assert _loads_numpy(code) == "False"
+    assert _loaded(code, ("numpy",)) == []
 
 
 def test_exact_subcommands_load_no_numpy():
@@ -148,4 +151,42 @@ def test_exact_subcommands_load_no_numpy():
         "import sys; from freemoments import cli; "
         f"assert [cli.main(argv) for argv in {commands!r}] == [0] * {len(commands)}"
     )
-    assert _loads_numpy(code) == "False"
+    assert _loaded(code) == []
+
+
+def test_measure_specifications_load_on_first_use():
+    # the mgf values are the bits returned while the specifications loaded
+    # with the package
+    code = """
+import sys
+from fractions import Fraction
+import freemoments
+assert "freemoments.measures" not in sys.modules
+import dataclasses
+assert freemoments.Semicircle is freemoments.measures.Semicircle
+assert dataclasses.is_dataclass(freemoments.Uniform(0, 1))
+law = freemoments.FreeSum(freemoments.Semicircle(2), freemoments.Uniform(0, 1))
+assert freemoments.moment(law, 4) == Fraction(121, 30)
+assert freemoments.mgf(law, 1.5) == complex(float.fromhex("0x1.7f1020257083bp+2"), 0.0)
+assert freemoments.mgf(law, 0.5 + 2j) == complex(
+    -float.fromhex("0x1.233d69a63107dp-2"), -float.fromhex("0x1.eaab34a8df12cp-5")
+)
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_moment_agreement_is_a_named_tuple():
+    agreement = moments.verify_exp_image_moments(10, 1.0)
+    assert isinstance(agreement, tuple)
+    assert agreement._fields == (
+        "time",
+        "orders",
+        "laguerre_values",
+        "hypergeometric_values",
+        "deviations",
+        "tolerance",
+    )
+    assert agreement.orders == tuple(range(1, 11))
+    assert agreement.max_deviation == max(agreement.deviations)
+    assert agreement.passed is True
+    assert agreement._replace(tolerance=0.0).passed is False

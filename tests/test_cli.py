@@ -165,6 +165,19 @@ class TestVerify:
         assert payload["passed"] is True
         assert all(check["passed"] for check in payload["checks"])
 
+    def test_exp_image_moments_row_is_pinned(self, capsys):
+        # the JSON row of the MomentAgreement record, byte for byte
+        code, out = run(capsys, ["verify", "theorem-main", "--format", "json"])
+        assert code == 0
+        row = (
+            '    {\n'
+            '      "name": "exp-image-moments",\n'
+            '      "passed": true,\n'
+            '      "detail": "max deviation 2.075e-16 for n <= 10, t=1.0"\n'
+            '    },\n'
+        )
+        assert row in out
+
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         broken = IdentityCheck(False, Fraction(1), Fraction(2))
         monkeypatch.setattr(checks, "verify_stirling_identity", lambda l, m: broken)

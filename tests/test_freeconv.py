@@ -308,6 +308,22 @@ class TestBianeCurve:
         uniform = np.array([cauchy_uniform(w, lo, hi) for w in omega])
         assert np.abs(uniform - g[1:-1]).max() <= 1e-13 * max(1.0, np.abs(g).max())
 
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 64.0, 1e6])
+    def test_apex_angle(self, c):
+        # at u = mid the circle equation (u - lo)(u - hi) + v^2 = width v cot(theta),
+        # v = c theta / width, times sinc(theta) is smooth on [0, pi]; no sample
+        # of the curve sits at mid, so the apex is above every sample, by
+        # about 3e-5 relative at c >= 1
+        lo, hi = -0.5, 0.5
+        width = hi - lo
+        theta = freeconv._biane_apex_angle(c, width)
+        assert 0.0 < theta < math.pi
+        half_sq, v = (0.5 * width) ** 2, c * theta / width
+        residual = (half_sq - v * v) * math.sin(theta) / theta + c * math.cos(theta)
+        assert abs(residual) <= 1e-12 * (half_sq + v * v + c)
+        sampled = -width * float(freeconv._biane_curve(c, lo, hi)[1].imag.min())
+        assert sampled <= theta <= sampled * (1 + 1e-4)
+
 
 class TestSolverWork:
     # point evaluations of the uniform transform that the solver this one
