@@ -162,14 +162,22 @@ def _expm(x: np.ndarray) -> np.ndarray:
     ``||e^Y||_F`` (the singular values of ``e^Y`` are at least
     ``1 / ||e^-Y||_2``).  The polynomial is evaluated by Horner's rule in
     ``Y^4``, which costs ``degree/4 - 1`` products after the three that form
-    the powers, and squared ``s`` times.  Returns NaNs when a power of ``x``
-    overflows.
+    the powers, and squared ``s`` times.  The blocks
+    ``c_4k+1 Y + c_4k+2 Y^2 + c_4k+3 Y^3`` (the top one plus
+    ``c_degree Y^4``) come from one real product of their coefficients with
+    the powers; each ``c_4k I`` goes on the diagonal after the rest of its
+    Horner step.  Leaves ``x`` unchanged and returns a new array; returns
+    NaNs when a power of ``x`` overflows.
     """
     n = x.shape[0]
-    x2 = x @ x
-    x3 = x2 @ x
-    x4 = x2 @ x2
-    norms = [float(np.linalg.norm(p)) for p in (x, x2, x3, x4)]
+    # the powers, then up to four Horner blocks: one allocation a call
+    work = np.empty((8, n, n), dtype=complex)
+    powers = work[:4]
+    powers[0] = x
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    np.matmul(powers[1], powers[1], out=powers[3])
+    norms = [math.sqrt(np.vdot(p, p).real) for p in powers]
     if not math.isfinite(sum(norms)):
         return np.full_like(x, math.nan)
     s, degree = next(
@@ -179,23 +187,44 @@ def _expm(x: np.ndarray) -> np.ndarray:
         if _taylor_tail([math.ldexp(b, -r * s) for r, b in enumerate(norms, 1)], m)
         <= _UNIT_ROUNDOFF * math.sqrt(n) * math.exp(-math.ldexp(norms[0], -s))
     )
-    if s:
-        x, x2, x3, x4 = (
-            math.ldexp(1.0, -r * s) * p for r, p in enumerate((x, x2, x3, x4), 1)
-        )
+    # row k holds c_4k+1 .. c_4k+4 scaled as Y .. Y^4; only the top block
+    # keeps its Y^4 term, the others take it from the next block up
     c = _INVERSE_FACTORIALS
-    e = c[degree] * x4
-    # one reused buffer: fresh temporaries cost about as much as the
-    # products themselves at N ~ 100
-    term = np.empty_like(x)
-    for k in range(degree // 4 - 1, -1, -1):
-        for r, p in enumerate((x, x2, x3), 1):
-            e += np.multiply(p, c[4 * k + r], out=term)
+    coefficients = np.reshape(c[1 : degree + 1], (-1, 4)) * [
+        math.ldexp(1.0, -r * s) for r in range(1, 5)
+    ]
+    coefficients[:-1, 3] = 0.0
+    # the float view puts a power's real and imaginary parts in one row
+    blocks = work[4 : 4 + len(coefficients)]
+    np.matmul(
+        coefficients,
+        powers.view(float).reshape(4, -1),
+        out=blocks.view(float).reshape(len(blocks), -1),
+    )
+    x4 = powers[3]
+    if s:
+        x4 *= math.ldexp(1.0, -4 * s)
+    # the products write to two buffers in turn, the last to a new array,
+    # so the result owns its memory and is no view that keeps `work` alive
+    top = len(blocks) - 1
+    products = top + s
+    out, spare = np.empty_like(x), powers[0]
+    if products % 2 == 0:
+        out, spare = spare, out
+    e = blocks[top]
+    # c_4k I holds the largest entries of its step: added before the
+    # smaller terms, it would round their low bits away
+    e.flat[:: n + 1] += c[4 * top]
+    if not products:
+        return e.copy()
+    for k in range(top - 1, -1, -1):
+        e = np.matmul(e, x4, out=out)
+        e += blocks[k]
         e.flat[:: n + 1] += c[4 * k]
-        if k:
-            e = e @ x4
+        out, spare = spare, out
     for _ in range(s):
-        e = e @ e
+        e = np.matmul(e, e, out=out)
+        out, spare = spare, out
     return e
 
 
@@ -212,10 +241,13 @@ def additive_matrix(config: AdditiveModelConfig, *, trial: int = 0) -> np.ndarra
     the semicircle of radius ``2 sqrt(t)``.
     """
     n = config.size
-    rng = _rng(config.seed, trial)
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    noise = (raw + raw.conj().T) * (0.5 * math.sqrt(config.time / n))
-    noise[np.diag_indices(n)] += additive_drift(n, config.time)
+    scale = 0.5 * math.sqrt(config.time / n)
+    # one draw in the order of two (n, n) draws: real parts, then imaginary
+    a, b = _rng(config.seed, trial).standard_normal((2, n, n))
+    noise = np.empty((n, n), dtype=complex)
+    np.multiply(np.add(a, a.T, out=noise.real), scale, out=noise.real)
+    np.multiply(np.subtract(b, b.T, out=noise.imag), scale, out=noise.imag)
+    noise.real.flat[:: n + 1] += additive_drift(n, config.time)
     return noise
 
 
@@ -254,10 +286,20 @@ def sample_multiplicative(
     rng = _rng(config.seed, trial)
     delta = (config.time / 2.0) / steps
     scale = math.sqrt(delta / (2.0 * n))
-    g = np.eye(n, dtype=complex)
-    for _ in range(steps):
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = g @ _expm(scale * raw)
+    draw = np.empty((2, n, n))
+    x = np.empty((n, n), dtype=complex)
+
+    def increment() -> np.ndarray:
+        # the real parts of X, then its imaginary parts, from one draw
+        rng.standard_normal(out=draw)
+        np.multiply(draw[0], scale, out=x.real)
+        np.multiply(draw[1], scale, out=x.imag)
+        return _expm(x)
+
+    g = increment()
+    spare = np.empty_like(g)
+    for _ in range(steps - 1):
+        g, spare = np.matmul(g, increment(), out=spare), g
     h = g @ g.conj().T
     h = (h + h.conj().T) / 2.0
     if not np.isfinite(h).all():

@@ -100,6 +100,20 @@ class TestAdditiveModel:
         m2 = empirical_moments(spectrum, 2)[1]
         assert m2 == pytest.approx((matrix @ matrix).trace().real / 50, rel=1e-12)
 
+    @pytest.mark.parametrize("size", [2, 41, 200])
+    def test_matches_reference_construction_bit_for_bit(self, size):
+        # the sampler's draws, put together as in the model's definition
+        config = AdditiveModelConfig(size=size, time=1.3, seed=19)
+        rng = _philox(19, 2)
+        raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        reference = (raw + raw.conj().T) * (0.5 * math.sqrt(1.3 / size))
+        reference += np.diag(additive_drift(size, 1.3))
+        expected = np.linalg.eigvalsh(reference)
+        matrix = additive_matrix(config, trial=2)
+        assert np.array_equal(matrix, reference)
+        assert np.array_equal(np.linalg.eigvalsh(matrix), expected)
+        assert np.array_equal(sample_additive(config, trial=2).eigenvalues, expected)
+
     def test_moments_approach_free_sum(self):
         # single large sample; the free limit is Semicircle(2 sqrt t) + Unif[-t, t]
         spectrum = sample_additive(AdditiveModelConfig(size=600, time=1.0, seed=1))
@@ -201,10 +215,33 @@ class TestTaylorExponential:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isnan(_expm(x)).all()
 
+    @pytest.mark.parametrize(
+        "size, delta",
+        [(8, 1e-12), (24, 0.05), (16, 1000.0), (4, math.nan)],
+        ids=["degree-4", "horner", "scaling-and-squaring", "overflow-nan"],
+    )
+    def test_result_owns_its_memory(self, size, delta):
+        def increment(trial):
+            if math.isnan(delta):
+                return np.full((size, size), 1e100 * (trial + 1), dtype=complex)
+            return _increment(_philox(29, trial), size, delta)
+
+        x = increment(0)
+        before = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = _expm(x)
+            kept = first.copy()
+            second = _expm(increment(1))
+        assert np.array_equal(x, before)
+        assert first.base is None
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept, equal_nan=True)
+
     def test_sampler_replays_with_scipy_expm(self):
         # montecarlo-sized (delta = 0.05) and criterion-9-sized (delta =
-        # 2.5e-3) steps; the draws are the sampler's, only expm differs
-        for size, time, steps in ((64, 2.0, 20), (32, 1.0, 200)):
+        # 2.5e-3) steps, and one and two steps, where G starts at the first
+        # exponential; the draws are the sampler's, only expm differs
+        for size, time, steps in ((64, 2.0, 20), (32, 1.0, 200), (48, 0.1, 1), (48, 0.2, 2)):
             config = MultiplicativeModelConfig(size=size, time=time, steps=steps, seed=23)
             rng = _philox(23, 4)
             g = np.eye(size, dtype=complex)
