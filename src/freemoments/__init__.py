@@ -29,7 +29,6 @@ from .moments import (
     additive_mgf,
     free_lognormal_moment,
     free_lognormal_moment_alpha,
-    free_lognormal_moment_alpha_series,
     mgf,
     moment,
     moment_polynomial,
@@ -143,7 +142,6 @@ __all__ = [
     "additive_mgf",
     "free_lognormal_moment",
     "free_lognormal_moment_alpha",
-    "free_lognormal_moment_alpha_series",
     "mgf",
     "moment",
     "moment_polynomial",

@@ -24,7 +24,7 @@ from .exactcomb import (
     verify_stirling_identity,
 )
 from .moments import (
-    _fractional_moment_sums,
+    _mgf_sums,
     moment_polynomial,
     moment_polynomials_from_recursion,
     semicircle_uniform_moment,
@@ -156,7 +156,7 @@ def fractional_moments(
             continue
         drawn += 1
         for t in times:
-            direct, reflected = _fractional_moment_sums(alpha, t)
+            direct, reflected = _mgf_sums(alpha, t, -t / 2.0, t / 2.0)
             worst = max(worst, abs(direct - reflected) / (1.0 + abs(direct)))
     shown = ", ".join(map(str, times))
     detail = f"max deviation {worst:.3e} over {samples} complex orders, t={shown}"

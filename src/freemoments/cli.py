@@ -26,7 +26,7 @@ from typing import Sequence
 # them when they run
 from ._errors import SubordinationError
 from .moments import (
-    _fractional_moment_sums,
+    _mgf_sums,
     moment_polynomial,
     moment_polynomials_from_recursion,
     verify_exp_image_moments,
@@ -249,7 +249,7 @@ def cmd_nu(args: argparse.Namespace) -> int:
     else:
         params["alpha"] = _maybe_real(args.alpha)
         columns = ["alpha", "direct", "reflected", "rel_diff"]
-        direct, reflected = _fractional_moment_sums(args.alpha, args.t)
+        direct, reflected = _mgf_sums(args.alpha, args.t, -args.t / 2.0, args.t / 2.0)
         rel = abs(direct - reflected) / (1.0 + abs(direct))
         if args.format == "table":
             shown = (

@@ -10,9 +10,9 @@ Two deliberately independent routes exist for the time-coupled moments: a
 closed form in Stirling numbers and a quadratic recursion derived from the
 time evolution of the pair.  The recursion route never touches Stirling
 numbers, so the two implementations can act as oracles for each other.
-A fractional moment is returned only as a series sum that a second route
-confirms: the other series, or the contour integral of
-``freeconv._contour_mgf`` when that one refuses, disagrees or lost digits.
+Every exponential moment ``E[e^(alpha X)]`` of a semicircle-uniform free
+sum, fractional moments of the free log-normal law included, is a series
+sum that :func:`_confirmed_mgf` returns only once a second route confirms it.
 
 The exact kernels sum integer numerators over one common denominator and
 build each returned ``Fraction`` once, instead of normalising a ``Fraction``
@@ -30,9 +30,10 @@ from .exactcomb import stirling_first  # noqa: F401  (perfbench/tracing.py patch
 from .ratpoly import RationalPolynomial
 from .specfun import (
     SeriesConvergenceError,
+    _nonpositive_integer,
     _raise_not_finite,
     _series_1f1,
-    kummer_1f1,
+    kummer_1f1,  # noqa: F401  (perfbench/tracing.py patches it here)
     laguerre,
 )
 
@@ -45,7 +46,6 @@ __all__ = [
     "semicircle_uniform_moment",
     "free_lognormal_moment",
     "free_lognormal_moment_alpha",
-    "free_lognormal_moment_alpha_series",
     "additive_mgf",
     "MomentAgreement",
     "verify_exp_image_moments",
@@ -56,7 +56,7 @@ __all__ = [
 ExactScalar = Union[int, Fraction]
 
 # Largest relative gap |value - other| / (1 + |value|) accepted between two
-# fractional-moment routes, read at call time.
+# routes in _confirmed_mgf, read at call time; also the trust bound on a sum
 _CROSS_CHECK_TOLERANCE = 1e-10
 
 
@@ -212,110 +212,115 @@ def free_lognormal_moment(n: int, t: float) -> float:
     return value
 
 
-def _moment_sums(alpha: complex, t: float) -> list:
-    """``(value, loss)`` of the direct and of the Kummer-reflected sum of
-    ``int x^alpha d nu_t``, or the :class:`SeriesConvergenceError` a sum
-    raised; when both refuse, the direct sum's refusal is raised."""
+def _checked_order(alpha: complex, t: float) -> complex:
+    """``alpha`` as a complex; ``ValueError`` for nan, infinity or ``t <= 0``."""
     if not (cmath.isfinite(alpha) and math.isfinite(t)):
         _raise_not_finite(alpha=alpha, t=t)
     if t <= 0:
         raise ValueError("time must be positive")
-    alpha = complex(alpha)
-    sums: list = []
-    routes = ((1 - alpha, -alpha * t, alpha * t / 2.0), (1 + alpha, alpha * t, -alpha * t / 2.0))
-    for a, x, s in routes:
-        try:
-            sums.append(_series_1f1(a, 2.0, x, s))
-        except SeriesConvergenceError as refusal:
-            sums.append(refusal)
-    if isinstance(sums[0], SeriesConvergenceError) and isinstance(sums[1], SeriesConvergenceError):
-        raise sums[0]
-    return sums
+    return complex(alpha)
 
 
-def _contour_moment(alpha: complex, t: float) -> complex:
-    """``int x^alpha d nu_t`` by :func:`freeconv._contour_mgf`, which loads numpy."""
+def _mgf_routes(alpha: complex, c: float, lo: float, hi: float) -> list:
+    """``(a, x, s)``, for ``e^s 1F1(a; 2; x)``, of the direct sum of ``E[e^(alpha X)]``,
+    ``e^(alpha hi) 1F1(1 - alpha g; 2; -alpha w)``, and of its Kummer reflection
+    ``e^(alpha lo) 1F1(1 + alpha g; 2; alpha w)``, where ``w = hi - lo``, ``g = c / w``."""
+    width = hi - lo
+    # g first: it is exactly 1 on the time-coupled pairs, so integer orders keep integer a
+    scaled = alpha * (c / width)
+    return [(1 - scaled, -alpha * width, alpha * hi), (1 + scaled, alpha * width, alpha * lo)]
+
+
+def _summed(a: complex, x: complex, s: complex):
+    """``(value, loss)`` of ``e^s 1F1(a; 2; x)``, or the refusal it raised."""
+    try:
+        return _series_1f1(a, 2.0, x, s)
+    except SeriesConvergenceError as refusal:
+        return refusal
+
+
+def _contour(alpha: complex, c: float, lo: float, hi: float) -> complex:
+    """:func:`freeconv._contour_mgf`, imported only when it runs: it loads numpy."""
     from .freeconv import _contour_mgf
 
-    return _contour_mgf(complex(alpha), t, -t / 2.0, t / 2.0)
+    return _contour_mgf(alpha, c, lo, hi)
 
 
-def _fractional_moment_sums(alpha: complex, t: float) -> tuple[complex, complex]:
-    """The direct and the Kummer-reflected sums of ``int x^alpha d nu_t``; the
-    contour integral stands in for one that refuses (see :func:`_moment_sums`)."""
+def _mgf_sums(alpha: complex, c: float, lo: float, hi: float) -> tuple[complex, complex]:
+    """The direct and the Kummer-reflected sums of ``E[e^(alpha X)]`` (see
+    :func:`_mgf_routes`); the contour integral stands in for one that
+    refuses, and when both refuse the direct sum's refusal is raised."""
+    sums = [_summed(*route) for route in _mgf_routes(alpha, c, lo, hi)]
+    if all(isinstance(s, SeriesConvergenceError) for s in sums):
+        raise sums[0]
     return tuple(
-        _contour_moment(alpha, t) if isinstance(s, SeriesConvergenceError) else s[0]
-        for s in _moment_sums(alpha, t)
+        _contour(alpha, c, lo, hi) if isinstance(s, SeriesConvergenceError) else s[0]
+        for s in sums
+    )
+
+
+def _confirmed_mgf(alpha: complex, c: float, lo: float, hi: float) -> complex:
+    """``E[e^(alpha X)]``, ``X ~ Semicircle(2 sqrt c) boxplus Uniform[lo, hi]``
+    (``lo < hi``), as a sum of :func:`_mgf_routes` that a second route
+    confirms to ``1e-10`` relative to ``1 + |value|``: the other sum, when
+    both lost at most ``1e-10 * 2**53`` to cancellation (largest term over
+    value), else the contour integral ``freeconv._contour_mgf``, which is
+    never returned itself.  A terminating sum is summed first and confirms
+    itself under the same loss bound: its terms are all positive, since
+    ``alpha g`` is then a real integer and the sum's argument negative.
+    Otherwise the reflected sum is preferred when ``Re(alpha) w > 1``, as in
+    :func:`kummer_1f1`.  Else it raises :class:`SeriesConvergenceError`."""
+    routes = _mgf_routes(alpha, c, lo, hi)
+    if alpha.real * (hi - lo) > 1.0:
+        routes.reverse()
+    if _nonpositive_integer(routes[1][0]) is not None:
+        routes.reverse()  # a terminating sum first; at most one of them terminates
+    tolerance = _CROSS_CHECK_TOLERANCE
+    trust = tolerance * 2.0**53  # a sum's rounding error is about its loss times 2**-53
+    sums = [_summed(*routes[0])]
+    terminates = _nonpositive_integer(routes[0][0]) is not None
+    if terminates and not isinstance(sums[0], SeriesConvergenceError) and sums[0][1] <= trust:
+        return sums[0][0]
+    sums.append(_summed(*routes[1]))
+    candidates = [s for s in sums if not isinstance(s, SeriesConvergenceError)]
+    if not candidates:
+        raise sums[0]
+    if len(candidates) == 2:
+        (value, loss), (other, other_loss) = candidates
+        if max(loss, other_loss) <= trust and abs(value - other) <= tolerance * (1 + abs(value)):
+            return value
+    contour = _contour(alpha, c, lo, hi)
+    for value, _ in candidates:
+        if abs(value - contour) <= tolerance * (1 + abs(value)):
+            return value
+    raise SeriesConvergenceError(
+        f"routes to E[e^(alpha X)] disagree at alpha={alpha}, c={c}, lo={lo}, hi={hi}: "
+        f"{[value for value, _ in candidates]} vs the contour integral {contour}"
     )
 
 
 def free_lognormal_moment_alpha(alpha: complex, t: float) -> complex:
     """Fractional moment ``e^(alpha t / 2) 1F1(1 - alpha; 2; -alpha t)``.
 
-    Sums two different series, the direct one in ``-alpha t`` and its Kummer
-    reflection ``e^(-alpha t) 1F1(1 + alpha; 2; alpha t)``, and prefers the
-    reflected sum when ``Re(alpha) t > 1``, as :func:`kummer_1f1` would.  A
-    sum is returned only once a different route confirms it to ``1e-10``
-    relative to ``1 + |value|``: the other sum, when both lost at most
-    ``1e-10 * 2**53`` to cancellation (largest term over value); otherwise
-    the contour integral of ``freeconv._contour_mgf``, which is never
-    returned itself.  Else it raises :class:`SeriesConvergenceError`.  Each
-    sum carries its binary exponent, so a moment in range is returned even
-    when the terms or ``e^(+-alpha t/2)`` pass the float range.  Order
-    ``alpha = 0`` gives 1.  Arguments that are nan or infinite raise
-    ``ValueError``.
+    It is ``E[e^(alpha X)]``, ``X ~ Semicircle(2 sqrt(t)) boxplus Uniform[-t/2, t/2]``,
+    returned only once a different route (the other Kummer sum or a contour
+    integral) confirms it to ``1e-10`` relative to ``1 + |value|``, or as a
+    terminating sum of positive terms; else it raises
+    :class:`SeriesConvergenceError`.  A moment in range is returned even when
+    the terms or ``e^(+-alpha t/2)`` pass the float range.  Order
+    ``alpha = 0`` gives 1.  Arguments that are nan or infinite raise ``ValueError``.
     """
-    sums = _moment_sums(alpha, t)
-    if complex(alpha).real * t > 1.0:
-        sums.reverse()
-    candidates = [s for s in sums if not isinstance(s, SeriesConvergenceError)]
-    tolerance = _CROSS_CHECK_TOLERANCE
-    if len(candidates) == 2:
-        (value, loss), (other, other_loss) = candidates
-        # a sum's rounding error is about its loss times 2**-53
-        trusted = max(loss, other_loss) <= tolerance * 2.0**53
-        if trusted and abs(value - other) <= tolerance * (1 + abs(value)):
-            return value
-    contour = _contour_moment(alpha, t)
-    for value, _ in candidates:
-        if abs(value - contour) <= tolerance * (1 + abs(value)):
-            return value
-    raise SeriesConvergenceError(
-        f"fractional-moment routes disagree at alpha={alpha}, t={t}: "
-        f"{[value for value, _ in candidates]} vs the contour integral {contour}"
-    )
-
-
-def free_lognormal_moment_alpha_series(alpha: complex, t: float) -> complex:
-    """Fractional moment by the direct series ``e^(alpha t/2) 1F1(1 - alpha; 2; -alpha t)``.
-
-    Term by term this is ``e^(alpha t/2) (1/alpha) sum_j C(alpha, 1+j) (alpha t)^j / j!``
-    for nonzero alpha, and 1 at ``alpha = 0``.  The kernel carries the
-    sum's binary exponent and applies ``e^(alpha t/2)``, so terms past the
-    float range do not refuse a moment in range.  Arguments that are nan or
-    infinite raise ``ValueError``.
-    """
-    alpha = complex(alpha)
-    if not (cmath.isfinite(alpha) and math.isfinite(t)):
-        _raise_not_finite(alpha=alpha, t=t)
-    if t <= 0:
-        raise ValueError("time must be positive")
-    return _series_1f1(1 - alpha, 2.0, -alpha * t, alpha * t / 2.0)[0]
+    return _confirmed_mgf(_checked_order(alpha, t), t, -t / 2.0, t / 2.0)
 
 
 def additive_mgf(alpha: complex, t: float) -> complex:
     """``E[e^(alpha X)]`` for ``X ~ Semicircle(2 sqrt(t)) boxplus Uniform[-t, 0]``.
 
-    Closed form ``1F1(1 - alpha; 2; -alpha t)``; at integer ``alpha = n`` this
-    matches ``e^(-nt/2)`` times the n-th free log-normal moment.  Arguments
-    that are nan or infinite raise ``ValueError``.
+    Closed form ``1F1(1 - alpha; 2; -alpha t)``, ``e^(-alpha t/2)`` times
+    :func:`free_lognormal_moment_alpha` and returned under its confirmation
+    rule.  Arguments that are nan or infinite raise ``ValueError``.
     """
-    alpha = complex(alpha)
-    if not (cmath.isfinite(alpha) and math.isfinite(t)):
-        _raise_not_finite(alpha=alpha, t=t)
-    if t <= 0:
-        raise ValueError("time must be positive")
-    return kummer_1f1(1 - alpha, 2.0, -alpha * t)
+    return _confirmed_mgf(_checked_order(alpha, t), t, -t, 0.0)
 
 
 class MomentAgreement(NamedTuple):
@@ -468,10 +473,10 @@ def _semicircle_mgf(radius: float, alpha: complex) -> complex:
 def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     """``E[e^(alpha X)]`` for the polynomial measure family.
 
-    Free sums of a semicircle with a uniform law reduce to the closed
-    hypergeometric form by rescaling onto the time-coupled pair; exponential
-    images and the free log-normal law are out of scope here (their linear
-    moments live in :func:`moment`).
+    Free sums of a semicircle with a uniform law follow the confirmation
+    rule of :func:`free_lognormal_moment_alpha`; exponential images and the
+    free log-normal law are out of scope here (their linear moments live in
+    :func:`moment`).
     """
     from .measures import Dirac, FreeSum, Scaled, Semicircle, Uniform
 
@@ -489,19 +494,15 @@ def mgf(measure: MeasureSpec, alpha: complex) -> complex:
         return mgf(measure.inner, alpha * complex(measure.factor))
     if isinstance(measure, FreeSum):
         semicircle, uniform, shift = _free_sum_components(measure.parts)
+        if semicircle is not None and uniform is not None:
+            lo, hi = (float(Fraction(end) + shift) for end in (uniform.lo, uniform.hi))
+            return _confirmed_mgf(alpha, (float(semicircle.radius) / 2.0) ** 2, lo, hi)
         shift_factor = cmath.exp(alpha * float(shift))
         if semicircle is None and uniform is None:
             return shift_factor
         if semicircle is None:
             return shift_factor * mgf(uniform, alpha)
-        if uniform is None:
-            return shift_factor * _semicircle_mgf(float(semicircle.radius), alpha)
-        a = (float(semicircle.radius) / 2.0) ** 2
-        width = float(uniform.hi) - float(uniform.lo)
-        gamma = a / width
-        tau = width * width / a
-        upper = cmath.exp(alpha * float(uniform.hi))
-        return shift_factor * upper * additive_mgf(alpha * gamma, tau)
+        return shift_factor * _semicircle_mgf(float(semicircle.radius), alpha)
     raise TypeError(
         f"exponential moments not defined here for {type(measure).__name__}"
     )

@@ -103,6 +103,11 @@ class TestNu:
         # second column must be the Kummer-reflected one, not the same sum
         code, out = run(capsys, ["nu", "--alpha", "0.5+2i", "--t", "0.5", "--format", "csv"])
         assert code == 0
+        assert out == (
+            "alpha,direct,reflected,rel_diff\n"
+            "(0.5+2j),(0.24056737348768706+0.24938671496593023j),"
+            "(0.2405673734876871+0.24938671496593032j),6.518e-17\n"
+        )
         header, row = out.strip().splitlines()
         assert header == "alpha,direct,reflected,rel_diff"
         _, direct, reflected, rel_diff = row.split(",")
@@ -166,17 +171,29 @@ class TestVerify:
         assert all(check["passed"] for check in payload["checks"])
 
     def test_exp_image_moments_row_is_pinned(self, capsys):
-        # the JSON row of the MomentAgreement record, byte for byte
+        # the JSON rows of the MomentAgreement record and of the seeded
+        # fractional orders, byte for byte
         code, out = run(capsys, ["verify", "theorem-main", "--format", "json"])
         assert code == 0
-        row = (
-            '    {\n'
-            '      "name": "exp-image-moments",\n'
-            '      "passed": true,\n'
-            '      "detail": "max deviation 2.075e-16 for n <= 10, t=1.0"\n'
-            '    },\n'
+        rows = (
+            (
+                '    {\n'
+                '      "name": "exp-image-moments",\n'
+                '      "passed": true,\n'
+                '      "detail": "max deviation 2.075e-16 for n <= 10, t=1.0"\n'
+                '    },\n'
+            ),
+            (
+                '    {\n'
+                '      "name": "fractional-moments",\n'
+                '      "passed": true,\n'
+                '      "detail": "max deviation 3.141e-14 over 50 complex orders, t=1.0"\n'
+                '    }\n'
+                '  ],\n'
+            ),
         )
-        assert row in out
+        for row in rows:
+            assert row in out
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         broken = IdentityCheck(False, Fraction(1), Fraction(2))

@@ -25,7 +25,6 @@ from freemoments.moments import (
     additive_mgf,
     free_lognormal_moment,
     free_lognormal_moment_alpha,
-    free_lognormal_moment_alpha_series,
     mgf,
     moment,
     moment_polynomial,
@@ -258,9 +257,10 @@ class TestFreeLogNormalMoments:
         # the direct route refused alpha = 0 with ValueError
         for t in (0.5, 3.0):
             assert free_lognormal_moment_alpha(0, t) == 1
-            assert free_lognormal_moment_alpha_series(0, t) == 1
+            assert moments._mgf_sums(0j, t, -t / 2, t / 2) == (1, 1)
 
     def test_alpha_series_agrees_on_complex_orders(self):
+        # the returned value against the direct sum alone
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
         for _ in range(25):
             alpha = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
@@ -268,7 +268,7 @@ class TestFreeLogNormalMoments:
                 continue
             for t in (0.5, 2.0):
                 a = free_lognormal_moment_alpha(alpha, t)
-                b = free_lognormal_moment_alpha_series(alpha, t)
+                b = moments._mgf_sums(alpha, t, -t / 2, t / 2)[0]
                 assert abs(a - b) <= 1e-10 * (1 + abs(a))
 
     def test_route_disagreement_is_typed(self):
@@ -314,6 +314,10 @@ class TestFreeLogNormalMoments:
         monkeypatch.setattr(freeconv, "_contour_mgf", refuse)
         for alpha, t in ((0.5, 1.0), (3.0, 2.0), (-2.0, 0.5), (1.5 - 2j, 1.0), (-4 + 3j, 2.0)):
             free_lognormal_moment_alpha(alpha, t)
+            additive_mgf(alpha, t)
+        law = FreeSum(Semicircle(2 * math.sqrt(0.7)), Uniform(Fraction(-3, 10), Fraction(19, 10)))
+        for alpha in (0.5, -1.2, 1.5 - 2j):
+            mgf(law, alpha)
 
     def test_sums_that_lost_digits_do_not_confirm_each_other(self):
         # both sums lose about 7 digits (largest-term ratios 8.5e6 and
@@ -321,14 +325,17 @@ class TestFreeLogNormalMoments:
         # one was returned, 4.6e-10 off the 40-digit value; the contour
         # integral is 7e-15 off and confirms neither
         alpha, t = -0.8068090000082826 - 4.807018015659093j, 3.0
-        (direct, direct_loss), (reflected, reflected_loss) = moments._moment_sums(alpha, t)
+        (direct, direct_loss), (reflected, reflected_loss) = (
+            moments._summed(*route) for route in moments._mgf_routes(alpha, t, -t / 2, t / 2)
+        )
         assert abs(direct - reflected) <= moments._CROSS_CHECK_TOLERANCE * (1 + abs(direct))
         assert min(direct_loss, reflected_loss) > moments._CROSS_CHECK_TOLERANCE * 2.0**53
         with mpmath.workdps(40):
             a = mpmath.mpc(alpha)
             reference = complex(mpmath.exp(a * t / 2) * mpmath.hyp1f1(1 - a, 2, -a * t))
         assert abs(direct - reference) > 1e-10 * (1 + abs(reference))
-        assert abs(moments._contour_moment(alpha, t) - reference) <= 1e-13 * abs(reference)
+        contour = freeconv._contour_mgf(alpha, t, -t / 2, t / 2)
+        assert abs(contour - reference) <= 1e-13 * abs(reference)
         with pytest.raises(SeriesConvergenceError, match="disagree"):
             free_lognormal_moment_alpha(alpha, t)
 
@@ -389,7 +396,66 @@ class TestFreeLogNormalMoments:
         assert report.max_deviation < 1e-12
 
 
+def _mgf_reference(alpha: complex, c: float, lo: float, hi: float) -> complex:
+    """``e^(alpha hi) 1F1(1 - alpha c/w; 2; -alpha w)``, ``w = hi - lo``, by
+    40-digit mpmath: ``E[e^(alpha X)]`` of ``Semicircle(2 sqrt c) boxplus Uniform[lo, hi]``."""
+    with mpmath.workdps(40):
+        a, w = mpmath.mpc(alpha), mpmath.mpf(hi) - mpmath.mpf(lo)
+        return complex(mpmath.exp(a * hi) * mpmath.hyp1f1(1 - a * c / w, 2, -a * w))
+
+
+# additive_mgf's reflected sum loses a factor 1.9e5 to cancellation here
+_LOSSY_ALPHA, _LOSSY_T = 5.688164932629087 - 1.6065719237188447j, 70.31512590526806
+
+
 class TestAdditiveMgf:
+    @pytest.mark.parametrize(
+        "call, law",
+        [
+            # the single sum kummer_1f1 picked was 5.1e-10 off here
+            (
+                lambda: additive_mgf(_LOSSY_ALPHA, _LOSSY_T),
+                (_LOSSY_ALPHA, _LOSSY_T, -_LOSSY_T, 0.0),
+            ),
+            (
+                lambda: mgf(FreeSum(Semicircle(2 * math.sqrt(2)), Uniform(-5, -1)), 4j),
+                (4j, 2.0, -5.0, -1.0),
+            ),
+            (
+                lambda: mgf(FreeSum(Semicircle(10), Uniform(0, 0.1)), 1 + 3j),
+                (1 + 3j, 25.0, 0.0, 0.1),
+            ),
+            (lambda: mgf(FreeSum(Semicircle(10), Uniform(0, 0.1)), 4j), (4j, 25.0, 0.0, 0.1)),
+        ],
+    )
+    def test_right_or_refused(self, call, law):
+        reference = _mgf_reference(*law)
+        try:
+            value = call()
+        except SeriesConvergenceError:
+            return
+        assert abs(value - reference) <= 1e-10 * (1 + abs(reference))
+
+    def test_integer_order_takes_one_sum(self, monkeypatch):
+        # the terminating sum has only positive terms and confirms itself;
+        # summing the other one too took about four times as long
+        calls = []
+        series = moments._series_1f1
+
+        def counted(*args):
+            calls.append(args)
+            return series(*args)
+
+        def refuse(*args):
+            raise AssertionError("the contour integral was consulted")
+
+        monkeypatch.setattr(moments, "_series_1f1", counted)
+        monkeypatch.setattr(freeconv, "_contour_mgf", refuse)
+        for n, t in ((1, 0.5), (2, 3.0), (17, 0.1), (50, 2.0), (99, 4.0)):
+            calls.clear()
+            additive_mgf(n, t)
+            assert len(calls) == 1, (n, t)
+
     def test_normalization_at_alpha_one(self):
         # 1F1(0; 2; -t) = 1 exactly: the exponential moment at 1 is unity
         for t in (0.25, 1.0, 4.0):
@@ -498,6 +564,27 @@ class TestMgfDispatch:
                 assert mgf(measure, alpha) == pytest.approx(
                     additive_mgf(alpha, t), rel=1e-12
                 )
+        # laws off the time-coupled pair, against the Taylor sum
+        # sum_k alpha^k m_k / k! of the exact moments m_k
+        radius = 2 * math.sqrt(0.7)
+        a = Fraction(7, 10)
+        left, right, half, quarter = Fraction(-3, 10), Fraction(19, 10), Fraction(1, 2), Fraction(1, 4)
+        cases = [
+            (FreeSum(Semicircle(radius), Uniform(left, right)), (a, left, right)),
+            (FreeSum(Semicircle(radius), Uniform(-1, 0), Dirac(half)), (a, -half, half)),
+            (
+                FreeSum(FreeSum(Dirac(-quarter), Semicircle(radius)), FreeSum(Uniform(0, 1))),
+                (a, -quarter, 1 - quarter),
+            ),
+            (Scaled(2, FreeSum(Semicircle(radius), Uniform(0, 1))), (4 * a, 0, 2)),
+        ]
+        for measure, (variance, lo, hi) in cases:
+            exact = [semicircle_uniform_moment(k, variance, lo, hi) for k in range(61)]
+            for alpha in (0.5, -0.8, 1.2 + 0.5j):
+                terms = [alpha**k * float(m) / math.factorial(k) for k, m in enumerate(exact)]
+                assert abs(terms[-1]) < 1e-15
+                reference = sum(terms)
+                assert abs(mgf(measure, alpha) - reference) <= 1e-12 * abs(reference)
 
     def test_exp_image_has_no_mgf(self):
         with pytest.raises(TypeError):

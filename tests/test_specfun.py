@@ -19,7 +19,6 @@ from freemoments.moments import (
     additive_mgf,
     free_lognormal_moment,
     free_lognormal_moment_alpha,
-    free_lognormal_moment_alpha_series,
     mgf,
 )
 from freemoments.specfun import (
@@ -510,8 +509,6 @@ def test_non_finite_arguments_raise_value_error(bad):
         ("t", lambda: free_lognormal_moment(3, bad)),
         ("alpha", lambda: free_lognormal_moment_alpha(bad, 1.0)),
         ("t", lambda: free_lognormal_moment_alpha(0.5, bad)),
-        ("alpha", lambda: free_lognormal_moment_alpha_series(bad, 1.0)),
-        ("t", lambda: free_lognormal_moment_alpha_series(0.5, bad)),
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
