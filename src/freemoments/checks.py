@@ -146,7 +146,8 @@ def fractional_moments(
 
     ``alpha`` is drawn from ``rng``, uniform on the square ``|Re|, |Im| <= 5``
     and kept when ``0.05 <= |alpha| <= 5``, until ``samples`` are kept.  The
-    contour integral stands in for a sum that refuses.
+    contour integral stands in for one sum that refuses; where both sums
+    refuse, the check raises their refusal and the row is refused.
     """
     worst = 0.0
     drawn = 0

@@ -14,9 +14,13 @@ Every exponential moment ``E[e^(alpha X)]`` of a semicircle-uniform free
 sum, fractional moments of the free log-normal law included, is a series
 sum that :func:`_confirmed_mgf` returns only once a second route confirms it.
 
-The exact kernels sum integer numerators over one common denominator and
-build each returned ``Fraction`` once, instead of normalising a ``Fraction``
-at every term; they return the same ``Fraction`` values.
+The exact kernels work in integers and build each returned ``Fraction``
+once, instead of normalising a ``Fraction`` at every term; they return the
+same ``Fraction`` values.  The moment polynomials put integer numerators
+over one common denominator; :func:`semicircle_uniform_moment` sums its
+closed form by Horner steps in the width-to-``c`` ratio nested inside
+Horner steps in ``a``, which take part of the factorial weights as small
+factors instead of full-size products.
 """
 from __future__ import annotations
 
@@ -149,16 +153,6 @@ def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
     return polynomials
 
 
-def _scaled_powers(x: Fraction, n: int) -> list[int]:
-    """``x^e`` over the denominator ``q^n`` of ``x^n``: ``p^e q^(n-e)``, e = 0..n."""
-    p, q = x.numerator, x.denominator
-    up, down = [1], [1]
-    for _ in range(n):
-        up.append(up[-1] * p)
-        down.append(down[-1] * q)
-    return [u * d for u, d in zip(up, reversed(down))]
-
-
 def semicircle_uniform_moment(
     n: int, a: ExactScalar, b: ExactScalar, c: ExactScalar
 ) -> Fraction:
@@ -166,11 +160,22 @@ def semicircle_uniform_moment(
 
     ``a > 0``, ``b <= c`` (``b == c`` collapses the uniform to a point mass).
     The closed form is an outer binomial shift by ``c`` of the inner Stirling
-    sum in the interval width; ``0^0 = 1`` conventions apply throughout.  The
-    terms are summed as integers over the one denominator
-    ``n! (n+1)! (q_a q_w q_c)^n`` of the denominators ``q`` of ``a``, the
-    width and ``c``; it is a multiple of every term's, because ``j! (1+j)!``
-    divides ``n! (n+1)!`` for ``j <= n``.
+    sum in the interval width ``w = c - b``; ``0^0 = 1`` conventions apply
+    throughout.  Grouped by the power ``i`` of ``a``, with ``k = 2i + l`` and
+    ``j = i + l``, it reads
+
+        sum_i a^i sum_l F_k s(1+j, 1+i) W_j w^l c^(n-k) / (n! (n+1)!),
+
+    ``F_k = n!/(n-k)!`` and ``W_j = n! (n+1)! / (j! (1+j)!)``, ``l`` running
+    from 0 to ``n - 2i``.  Write each argument as ``p/q``.  Times
+    ``(q_w q_c)^(n-2i)``, the sum over ``l`` is a homogeneous integer
+    polynomial in ``X = p_w q_c`` and ``Y = p_c q_w``; it is summed by Horner
+    steps in ``X`` from ``l = n - 2i`` down, each step also taking the factor
+    ``n - k`` of ``F_k / F_2i`` and each term a power of ``Y`` from one table.
+    These sums are folded by Horner steps in ``Z = p_a (q_w q_c)^2`` from
+    ``i = floor(n/2)`` down, each step taking the factor ``(n-2i)(n-2i-1)``
+    of ``F_2i``.  The result is one integer over the denominator
+    ``n! (n+1)! q_a^floor(n/2) (q_w q_c)^n``, reduced once.
     """
     if n < 0:
         raise ValueError("order must be a natural number")
@@ -180,18 +185,28 @@ def semicircle_uniform_moment(
     if b > c:
         raise ValueError("need b <= c")
     width = c - b
-    a_pow, w_pow, c_pow = (_scaled_powers(x, n) for x in (a, width, c))
+    rows = _stirling_rows(1 + n)
     weight = _factorial_weights(n)
+    q_a, q_w, q_c = a.denominator, width.denominator, c.denominator
+    x, y = width.numerator * q_c, c.numerator * q_w
+    z = a.numerator * (q_w * q_c) ** 2
+    x_steps = [x * e for e in range(n + 1)]  # X (n-k) with e = n - k
+    y_pow = [1]
+    for _ in range(n):
+        y_pow.append(y_pow[-1] * y)
     total = 0
-    falling = 1  # n! / (n-k)!
-    for k in range(n + 1):
+    q_pow = 1  # q_a^(floor(n/2) - i)
+    for i in range(n // 2, -1, -1):
+        m = n - 2 * i
+        # l from m down: e = m - l = n - k from 0 up, j = n - i - e from n - i down
         inner = 0
-        for j, s in _stirling_weights(k):
-            inner += s * weight[j] * w_pow[2 * j - k] * a_pow[k - j]
-        total += falling * c_pow[n - k] * inner
-        falling *= n - k
-    denominator = weight[0] * (a.denominator * width.denominator * c.denominator) ** n
-    return Fraction(total, denominator)
+        for x_step, row, w_j, y_e in zip(
+            x_steps[: m + 1], rows[n - i + 1 : i : -1], reversed(weight[i : n - i + 1]), y_pow
+        ):
+            inner = inner * x_step + row[1 + i] * w_j * y_e
+        total = total * z * m * (m - 1) + inner * q_pow
+        q_pow *= q_a
+    return Fraction(total, weight[0] * q_a ** (n // 2) * (q_w * q_c) ** n)
 
 
 def free_lognormal_moment(n: int, t: float) -> float:

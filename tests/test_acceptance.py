@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from freemoments import (
     MultiplicativeModelConfig,
@@ -143,6 +144,7 @@ def test_criterion_08_support_edges_match_closed_form():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_random_matrix_convergence():
     # Additive: 50 trials at each size, exact even moments as oracle; odd
     # moments of the symmetric limit are exactly zero, so they are held to

@@ -188,12 +188,30 @@ class TestSemicircleUniformMoment:
             (Fraction(1, 3), Fraction(5, 7), Fraction(5, 7)),  # b == c
             (2, Fraction(-1, 3), 0),  # c == 0
             (Fraction(7, 5), 0, 0),  # b == c == 0
+            (Fraction(3, 4), Fraction(-5, 2), Fraction(-1, 3)),  # c < 0
+            (Fraction(5, 2), Fraction(-7, 3), Fraction(-1, 5)),  # width 32/15 against c's 5
+            (3, Fraction(-2, 7), Fraction(1, 3)),  # integer a, width 13/21
         ],
     )
     def test_matches_fraction_loop_bit_for_bit(self, a, b, c):
         for n in range(41):
             value = semicircle_uniform_moment(n, a, b, c)
             assert as_pairs([value]) == as_pairs([fraction_loop_moment(n, a, b, c)]), n
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=24),
+        st.fractions(min_value=Fraction(1, 30), max_value=5, max_denominator=30),
+        st.fractions(min_value=-5, max_value=5, max_denominator=30),
+        st.fractions(min_value=-5, max_value=5, max_denominator=30),
+        st.booleans(),
+    )
+    def test_matches_fraction_loop_on_random_rationals(self, n, a, b, c, point_mass):
+        b, c = min(b, c), max(b, c)
+        if point_mass:
+            b = c
+        value = semicircle_uniform_moment(n, a, b, c)
+        assert as_pairs([value]) == as_pairs([fraction_loop_moment(n, a, b, c)])
 
     def test_variance_additivity(self):
         assert semicircle_uniform_moment(2, 1, -1, 1) == Fraction(4, 3)
