@@ -14,6 +14,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+__all__ = ["RationalPolynomial"]
+
 Coefficient = Union[int, Fraction]
 
 

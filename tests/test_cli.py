@@ -149,6 +149,32 @@ class TestNu:
         capsys.readouterr()
         assert code == 3
 
+    def test_integer_orders_json_is_pinned(self, capsys):
+        # both routes' values and their deviations, byte for byte
+        code, out = run(capsys, ["nu", "--n", "12", "--t", "2", "--format", "json"])
+        assert code == 0
+        rows = [
+            ["1", "2.718281828459045", "2.718281828459045", "0.000e+00"],
+            ["2", "22.16716829679195", "22.16716829679195", "0.000e+00"],
+            ["3", "261.1119800014397", "261.1119800014397", "0.000e+00"],
+            ["4", "3621.677285531901", "3621.677285531901", "0.000e+00"],
+            ["5", "55061.28202705592", "55061.28202705591", "1.321e-16"],
+            ["6", "887785.4029601129", "887785.4029601129", "0.000e+00"],
+            ["7", "14911457.186918097", "14911457.186918093", "2.498e-16"],
+            ["8", "258102613.37827146", "258102613.37827143", "1.155e-16"],
+            ["9", "4571699063.050233", "4571699063.050233", "0.000e+00"],
+            ["10", "82467724916.28479", "82467724916.28482", "3.701e-16"],
+            ["11", "1509779369297.401", "1509779369297.4014", "3.234e-16"],
+            ["12", "27980559051650.723", "27980559051650.723", "0.000e+00"],
+        ]
+        payload = {
+            "command": "nu",
+            "params": {"t": 2.0, "n_max": 12},
+            "columns": ["n", "laguerre", "hypergeometric", "rel_diff"],
+            "rows": rows,
+        }
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 class TestVerify:
     def test_stirling_suite_passes(self, capsys):
@@ -171,7 +197,7 @@ class TestVerify:
         assert all(check["passed"] for check in payload["checks"])
 
     def test_exp_image_moments_row_is_pinned(self, capsys):
-        # the JSON rows of the MomentAgreement record and of the seeded
+        # the JSON rows of the integer moments by both routes and of the seeded
         # fractional orders, byte for byte
         code, out = run(capsys, ["verify", "theorem-main", "--format", "json"])
         assert code == 0
@@ -194,6 +220,52 @@ class TestVerify:
         )
         for row in rows:
             assert row in out
+
+    @pytest.mark.parametrize(
+        "suite, rows",
+        [
+            (
+                "stirling",
+                [
+                    ("stirling-identity", True, "144 (l, m) pairs exact"),
+                    (
+                        "stirling-log-series",
+                        True,
+                        "coefficient extraction matches recurrence for n <= 20",
+                    ),
+                    ("alternating-binomial-sum", True, "partial alternating sums exact for N <= 30"),
+                ],
+            ),
+            (
+                "kummer",
+                [
+                    ("kummer-transform", True, "50 random (a, b, x) points, 0 failures"),
+                    ("euler-integral", True, "max deviation 1.848e-15 over the (a, b, x) grid"),
+                    ("laguerre-terminating-series", True, "max deviation 2.855e-15 for n <= 8"),
+                ],
+            ),
+        ],
+    )
+    def test_suite_json_is_pinned(self, capsys, suite: str, rows: list):
+        # the whole report at the default arguments, byte for byte
+        code, out = run(capsys, ["verify", suite, "--format", "json"])
+        assert code == 0
+        payload = {
+            "command": "verify",
+            "params": {
+                "suite": suite,
+                "l_max": 12,
+                "m_max": 12,
+                "n_max": 10,
+                "t": 1.0,
+                "samples": 50,
+                "tolerance": 1e-10,
+                "seed": 0,
+            },
+            "checks": [dict(zip(("name", "passed", "detail"), row)) for row in rows],
+            "passed": True,
+        }
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_failure_sets_exit_code(self, capsys, monkeypatch):
         broken = IdentityCheck(False, Fraction(1), Fraction(2))

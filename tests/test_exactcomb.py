@@ -1,17 +1,14 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemoments import exactcomb
+from freemoments import checks, exactcomb
 from freemoments.exactcomb import (
-    LOG_SERIES_CAP,
-    alternating_binomial_sum_check,
-    binomial,
-    rising_factorial,
     stirling_first,
     stirling_via_log_series,
     verify_stirling_identity,
@@ -53,8 +50,8 @@ def fraction_loop_identity(l: int, m: int) -> tuple[Fraction, Fraction]:
             s_right = stirling_first(m - k, l + 1 - n)
             if s_left and s_right:
                 total += Fraction(
-                    binomial(m, k) * binomial(m, 1 + k) * s_left * s_right,
-                    binomial(l + m - 2, n + k - 1),
+                    math.comb(m, k) * math.comb(m, 1 + k) * s_left * s_right,
+                    math.comb(l + m - 2, n + k - 1),
                 )
     return lhs, Fraction(m + 1, l + m - 1) * total
 
@@ -115,8 +112,7 @@ class TestLogSeriesRoute:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
-            stirling_via_log_series(10, 2, cap=5)
-        assert LOG_SERIES_CAP >= 512
+            stirling_via_log_series(513, 2)
 
     def test_k_above_n_rejected(self):
         with pytest.raises(ValueError):
@@ -167,40 +163,9 @@ class TestStirlingIdentity:
             verify_stirling_identity(0, 3)
 
 
-class TestBinomials:
-    def test_binomial_matches_comb(self):
-        import math
-
-        for n in range(13):
-            for k in range(n + 3):
-                expected = math.comb(n, k) if k <= n else 0
-                assert binomial(n, k) == expected
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-
-    def test_rising_falling(self):
-        assert rising_factorial(1, 4) == 24
-        assert rising_factorial(-3, 5) == 0
-        assert rising_factorial(Fraction(1, 2), 2) == Fraction(3, 4)
-        assert falling_factorial(5, 2) == 20
-
-    @given(
-        st.fractions(min_value=-6, max_value=6),
-        st.integers(min_value=0, max_value=10),
-    )
-    def test_rising_falling_reflection(self, x: Fraction, n: int):
-        assert falling_factorial(x, n) == (-1) ** n * rising_factorial(-x, n)
-
-
 class TestAlternatingBinomialSum:
-    @settings(max_examples=60)
-    @given(st.integers(min_value=1, max_value=30), st.data())
-    def test_partial_sums(self, N: int, data):
-        k = data.draw(st.integers(min_value=0, max_value=N))
-        assert alternating_binomial_sum_check(N, k)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            alternating_binomial_sum_check(0, 0)
-        with pytest.raises(ValueError):
-            alternating_binomial_sum_check(3, 5)
+    @settings(max_examples=10)
+    @given(st.integers(min_value=1, max_value=30))
+    def test_partial_sums(self, n_max: int):
+        claim = f"partial alternating sums exact for N <= {n_max}"
+        assert checks.alternating_binomial_sum(n_max) == ("alternating-binomial-sum", True, claim)

@@ -10,7 +10,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemoments import freeconv, moments
+from freemoments import checks, freeconv, moments
 from freemoments.exactcomb import stirling_first
 from freemoments.measures import (
     Dirac,
@@ -30,7 +30,6 @@ from freemoments.moments import (
     moment_polynomial,
     moment_polynomials_from_recursion,
     semicircle_uniform_moment,
-    verify_exp_image_moments,
 )
 from freemoments.ratpoly import RationalPolynomial
 from freemoments.specfun import SeriesConvergenceError
@@ -409,9 +408,11 @@ class TestFreeLogNormalMoments:
         assert returned == 40
 
     def test_exp_image_agreement_report(self):
-        report = verify_exp_image_moments(25, 4.0)
-        assert report.passed
-        assert report.max_deviation < 1e-12
+        assert checks.exp_image_moments(25, 4.0, 1e-12).passed
+        # the check passes up to its largest deviation, and no further
+        detail = "max deviation 2.075e-16 for n <= 10, t=1.0"
+        assert checks.exp_image_moments(10, 1.0, 1e-10) == ("exp-image-moments", True, detail)
+        assert checks.exp_image_moments(10, 1.0, 0.0) == ("exp-image-moments", False, detail)
 
 
 def _mgf_reference(alpha: complex, c: float, lo: float, hi: float) -> complex:

@@ -13,7 +13,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freemoments import specfun
+from freemoments import checks, specfun
 from freemoments.measures import Semicircle
 from freemoments.moments import (
     additive_mgf,
@@ -25,7 +25,6 @@ from freemoments.specfun import (
     SeriesConvergenceError,
     euler_integral_1f1,
     kummer_1f1,
-    kummer_transform_check,
     laguerre,
 )
 
@@ -114,8 +113,15 @@ class TestKummer1F1:
         # Re x < -1: the direct sum is 4e-9 off at the first point, the
         # reflected one 9e-9 off at the second; a check that compares the
         # reflected sum with itself passes both
-        assert not kummer_transform_check(1.04 - 3.78j, 1.86, -5.94 - 13.24j)
-        assert not kummer_transform_check(-4.31 + 6.67j, 5.5, -6 + 18.52j)
+        points = [(1.04 - 3.78j, 1.86, -5.94 - 13.24j), (-4.31 + 6.67j, 5.5, -6 + 18.52j)]
+        draws = iter([part for point in points for z in map(complex, point) for part in (z.real, z.imag)])
+
+        class Stub:
+            def uniform(self, low: float, high: float) -> float:
+                return next(draws)
+
+        result = checks.kummer_transform(Stub(), len(points), 1e-10)
+        assert result == ("kummer-transform", False, "2 random (a, b, x) points, 2 failures")
 
     @pytest.mark.parametrize(
         "a, b, x",
@@ -228,11 +234,7 @@ class TestKummer1F1:
 
     def test_transform_check_on_seeded_points(self):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-        for _ in range(50):
-            a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            b = complex(rng.uniform(0.5, 4), rng.uniform(-2, 2))
-            x = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            assert kummer_transform_check(a, b, x)
+        assert checks.kummer_transform(rng, 50, 1e-10).passed
 
 
 class TestSeriesPolicy:
@@ -501,8 +503,6 @@ def test_non_finite_arguments_raise_value_error(bad):
         ("a", lambda: kummer_1f1(complex(1, bad), 2, 1)),
         ("b", lambda: kummer_1f1(1, bad, 1)),
         ("x", lambda: kummer_1f1(1, 2, bad)),
-        ("a", lambda: kummer_transform_check(bad, 2, 1)),
-        ("x", lambda: kummer_transform_check(1, 2, bad)),
         ("alpha", lambda: additive_mgf(bad, 1.0)),
         ("t", lambda: additive_mgf(2, bad)),
         ("t", lambda: free_lognormal_moment(1, bad)),
