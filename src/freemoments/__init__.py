@@ -17,15 +17,11 @@ import importlib
 from ._errors import BranchError, PositivityError, SubordinationError
 from .exactcomb import (
     IdentityCheck,
-    alternating_binomial_sum_check,
-    binomial,
-    rising_factorial,
     stirling_first,
     stirling_via_log_series,
     verify_stirling_identity,
 )
 from .moments import (
-    MomentAgreement,
     additive_mgf,
     free_lognormal_moment,
     free_lognormal_moment_alpha,
@@ -34,14 +30,12 @@ from .moments import (
     moment_polynomial,
     moment_polynomials_from_recursion,
     semicircle_uniform_moment,
-    verify_exp_image_moments,
 )
 from .ratpoly import RationalPolynomial
 from .specfun import (
     SeriesConvergenceError,
     euler_integral_1f1,
     kummer_1f1,
-    kummer_transform_check,
     laguerre,
 )
 
@@ -112,9 +106,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IdentityCheck",
-    "alternating_binomial_sum_check",
-    "binomial",
-    "rising_factorial",
     "stirling_first",
     "stirling_via_log_series",
     "verify_stirling_identity",
@@ -138,7 +129,6 @@ __all__ = [
     "Scaled",
     "Semicircle",
     "Uniform",
-    "MomentAgreement",
     "additive_mgf",
     "free_lognormal_moment",
     "free_lognormal_moment_alpha",
@@ -147,7 +137,6 @@ __all__ = [
     "moment_polynomial",
     "moment_polynomials_from_recursion",
     "semicircle_uniform_moment",
-    "verify_exp_image_moments",
     "RationalPolynomial",
     "AdditiveModelConfig",
     "ConvergenceReport",
@@ -164,7 +153,6 @@ __all__ = [
     "SeriesConvergenceError",
     "euler_integral_1f1",
     "kummer_1f1",
-    "kummer_transform_check",
     "laguerre",
     "__version__",
 ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from io import StringIO
@@ -25,12 +26,7 @@ from typing import Sequence
 # need the numerical layers (freeconv, rmtlab) or the verify checks import
 # them when they run
 from ._errors import SubordinationError
-from .moments import (
-    _mgf_sums,
-    moment_polynomial,
-    moment_polynomials_from_recursion,
-    verify_exp_image_moments,
-)
+from .moments import _mgf_sums, moment_polynomial, moment_polynomials_from_recursion
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -89,9 +85,9 @@ def _rational(text: str) -> Fraction:
 
 
 def _complex_value(text: str) -> complex:
-    # accept both 2i and 2j spellings
+    # accept both 2i and 2j spellings; the i of inf and infinity is followed by a letter
     try:
-        value = complex(text.strip().replace("i", "j"))
+        value = complex(re.sub(r"i(?![a-z])", "j", text.strip()))
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed complex number: {text!r}")
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -120,10 +116,13 @@ def _table_number(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _is_real(value: complex) -> bool:
+    """Whether ``value`` is shown as real: its imaginary part is round-off."""
+    return abs(value.imag) <= 1e-13 * (1.0 + abs(value.real))
+
+
 def _maybe_real(value: complex) -> str:
-    if abs(value.imag) <= 1e-13 * (1.0 + abs(value.real)):
-        return repr(value.real)
-    return repr(value)
+    return repr(value.real) if _is_real(value) else repr(value)
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -231,15 +230,11 @@ def cmd_nu(args: argparse.Namespace) -> int:
     params = {"t": args.t}
     if args.n is not None:
         params["n_max"] = args.n
+        from .checks import _exp_image_rows
+
         columns = ["n", "laguerre", "hypergeometric", "rel_diff"]
-        agreement = verify_exp_image_moments(args.n, args.t)
         rows = []
-        for n, via_laguerre, via_1f1, rel in zip(
-            agreement.orders,
-            agreement.laguerre_values,
-            agreement.hypergeometric_values,
-            agreement.deviations,
-        ):
+        for n, via_laguerre, via_1f1, rel in _exp_image_rows(args.n, args.t):
             if args.format == "table":
                 cells = [str(n), _table_number(via_laguerre), _table_number(via_1f1)]
             else:
@@ -254,7 +249,7 @@ def cmd_nu(args: argparse.Namespace) -> int:
         if args.format == "table":
             shown = (
                 [_table_number(direct.real), _table_number(reflected.real)]
-                if abs(direct.imag) <= 1e-13 * (1 + abs(direct.real))
+                if _is_real(direct)
                 else [str(direct), str(reflected)]
             )
         else:

@@ -1,32 +1,27 @@
 """Exact integer and rational combinatorics.
 
 Signed Stirling numbers of the first kind (falling-factorial convention,
-``sum_k s(n, k) x^k = x (x-1) ... (x-n+1)``), factorial machinery, and the
-exact double-sum identity check that underpins the moment recursion.  All
-arithmetic in this module is integer or Fraction; no floats enter or leave.
+``sum_k s(n, k) x^k = x (x-1) ... (x-n+1)``) by the recurrence and by
+log-series coefficient extraction, and the exact double-sum identity check
+that underpins the moment recursion.  All arithmetic in this module is
+integer or Fraction; no floats enter or leave.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 __all__ = [
-    "LOG_SERIES_CAP",
     "stirling_first",
-    "binomial",
-    "rising_factorial",
     "stirling_via_log_series",
     "IdentityCheck",
     "verify_stirling_identity",
-    "alternating_binomial_sum_check",
 ]
 
-#: Truncation cap for the log-series route; guards accidental huge requests.
-LOG_SERIES_CAP = 512
-
-Exact = Union[int, Fraction]
+# largest n the log-series route accepts; guards accidental huge requests
+_LOG_SERIES_CAP = 512
 
 
 def _extended(rows: list[list[int]], max_n: int) -> list[list[int]]:
@@ -67,25 +62,6 @@ def stirling_first(n: int, k: int) -> int:
     return _stirling_rows(n)[n][k]
 
 
-def binomial(n: int, k: int) -> int:
-    """``C(n, k)`` for naturals, zero when ``k > n``."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial expects natural arguments")
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def rising_factorial(x: Union[Exact, complex], n: int) -> Union[Exact, complex]:
-    """``x (x+1) ... (x+n-1)``, empty product 1, in the arithmetic of ``x``."""
-    if n < 0:
-        raise ValueError("n must be a natural number")
-    out = x - x + 1
-    for i in range(n):
-        out = out * (x + i)
-    return out
-
-
 def _log1p_series(degree: int) -> list[Fraction]:
     # [z^m] log(1 + z) = (-1)^(m+1) / m for m >= 1
     out = [Fraction(0)] * (degree + 1)
@@ -106,18 +82,19 @@ def _series_multiply(a: list[Fraction], b: list[Fraction], degree: int) -> list[
     return out
 
 
-def stirling_via_log_series(n: int, k: int, *, cap: int = LOG_SERIES_CAP) -> Fraction:
+def stirling_via_log_series(n: int, k: int) -> Fraction:
     """``s(n, k)`` by coefficient extraction: ``(n!/k!) [z^n] log(1+z)^k``.
 
     Exact formal power series over Fraction, truncated at degree ``n``.
     Independent of the recurrence table, so the two routes check each other.
+    ``n`` above 512 raises ``ValueError``.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be natural numbers")
     if k > n:
         raise ValueError("log-series route requires k <= n")
-    if n > cap:
-        raise ValueError(f"series cap {cap} exceeded (n = {n})")
+    if n > _LOG_SERIES_CAP:
+        raise ValueError(f"series cap {_LOG_SERIES_CAP} exceeded (n = {n})")
     base = _log1p_series(n)
     power = [Fraction(0)] * (n + 1)
     power[0] = Fraction(1)
@@ -194,13 +171,3 @@ def verify_stirling_identity(l: int, m: int) -> IdentityCheck:
         total += weight * sum(map(mul, map(mul, left, right), scaled))
     rhs = Fraction((m + 1) * total, (l + m - 1) * common)
     return IdentityCheck(lhs == rhs, lhs, rhs)
-
-
-def alternating_binomial_sum_check(N: int, k: int) -> bool:
-    """Exact check of ``sum_{n=0}^{k} (-1)^n C(N, n) == (-1)^k C(N-1, k)``."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if not 0 <= k <= N:
-        raise ValueError("k must lie in 0..N")
-    lhs = sum((-1) ** n * binomial(N, n) for n in range(k + 1))
-    return lhs == (-1) ** k * binomial(N - 1, k)

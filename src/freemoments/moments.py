@@ -2,9 +2,8 @@
 
 Exact moments (as polynomials in the time parameter, or as rationals for
 fixed rational parameters) of free additive convolutions of a semicircle, a
-uniform law, and point masses; moments of the free log-normal spectral law in
-Laguerre and confluent-hypergeometric form; and the moment-level identity
-check tying the two families together through the exponential map.
+uniform law, and point masses; and moments of the free log-normal spectral
+law in Laguerre and confluent-hypergeometric form.
 
 Two deliberately independent routes exist for the time-coupled moments: a
 closed form in Stirling numbers and a quadratic recursion derived from the
@@ -27,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, Union
 
 from .exactcomb import _stirling_rows
 from .exactcomb import stirling_first  # noqa: F401  (perfbench/tracing.py patches it here)
@@ -51,8 +50,6 @@ __all__ = [
     "free_lognormal_moment",
     "free_lognormal_moment_alpha",
     "additive_mgf",
-    "MomentAgreement",
-    "verify_exp_image_moments",
     "moment",
     "mgf",
 ]
@@ -336,54 +333,6 @@ def additive_mgf(alpha: complex, t: float) -> complex:
     rule.  Arguments that are nan or infinite raise ``ValueError``.
     """
     return _confirmed_mgf(_checked_order(alpha, t), t, -t, 0.0)
-
-
-class MomentAgreement(NamedTuple):
-    """Side-by-side integer moments of the free log-normal law via two routes."""
-
-    time: float
-    orders: tuple[int, ...]
-    laguerre_values: tuple[float, ...]
-    hypergeometric_values: tuple[float, ...]
-    deviations: tuple[float, ...]
-    tolerance: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.deviations) if self.deviations else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-
-def verify_exp_image_moments(
-    n_max: int, t: float, tolerance: float = 1e-10
-) -> MomentAgreement:
-    """Check ``e^(nt/2) 1F1(1-n; 2; -nt)`` against the Laguerre moments.
-
-    Deviations are measured relative to ``1 + |value|`` for ``n = 1 .. n_max``.
-    """
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    orders = tuple(range(1, n_max + 1))
-    via_laguerre = []
-    via_1f1 = []
-    deviations = []
-    for n in orders:
-        lag = free_lognormal_moment(n, t)
-        hyp = math.exp(n * t / 2.0) * additive_mgf(n, t).real
-        via_laguerre.append(lag)
-        via_1f1.append(hyp)
-        deviations.append(abs(lag - hyp) / (1 + abs(lag)))
-    return MomentAgreement(
-        time=float(t),
-        orders=orders,
-        laguerre_values=tuple(via_laguerre),
-        hypergeometric_values=tuple(via_1f1),
-        deviations=tuple(deviations),
-        tolerance=tolerance,
-    )
 
 
 # ---------------------------------------------------------------------------

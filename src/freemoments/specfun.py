@@ -17,7 +17,6 @@ __all__ = [
     "SeriesConvergenceError",
     "laguerre",
     "kummer_1f1",
-    "kummer_transform_check",
     "euler_integral_1f1",
 ]
 
@@ -274,25 +273,6 @@ def kummer_1f1(a: Scalar, b: Scalar, x: Scalar) -> complex:
         if direct_loss < reflected_loss:
             return direct
     return reflected
-
-
-def kummer_transform_check(
-    a: Scalar, b: Scalar, x: Scalar, *, tolerance: float = 1e-10
-) -> bool:
-    """Whether ``1F1(a; b; x)`` equals ``e^x 1F1(b-a; b; -x)`` numerically.
-
-    Compares two different sums for every ``x``: the direct series in ``x``
-    and the Kummer-reflected series in ``-x``, at relative scale
-    ``1 + |direct|``.  A sum that refuses raises ``SeriesConvergenceError``;
-    arguments that are nan or infinite raise ``ValueError``.
-    """
-    a, b, x = complex(a), complex(b), complex(x)
-    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(x)):
-        _raise_not_finite(a=a, b=b, x=x)
-    _terminates(a, b)  # rejects a pole in b
-    direct = _series_1f1(a, b, x)[0]
-    reflected = _series_1f1(b - a, b, -x, x)[0]
-    return abs(direct - reflected) <= tolerance * (1 + abs(direct))
 
 
 def _gamma_positive(v: float) -> float:

@@ -33,7 +33,6 @@ PUBLIC = {
     "FreeSum",
     "IdentityCheck",
     "MeasureSpec",
-    "MomentAgreement",
     "MomentComparison",
     "MultiplicativeModelConfig",
     "PositivityError",
@@ -48,8 +47,6 @@ PUBLIC = {
     "additive_drift",
     "additive_matrix",
     "additive_mgf",
-    "alternating_binomial_sum_check",
-    "binomial",
     "cauchy_semicircle",
     "cauchy_uniform",
     "convergence_report",
@@ -64,19 +61,16 @@ PUBLIC = {
     "free_sum_cauchy",
     "grid_moments",
     "kummer_1f1",
-    "kummer_transform_check",
     "laguerre",
     "mgf",
     "moment",
     "moment_polynomial",
     "moment_polynomials_from_recursion",
-    "rising_factorial",
     "sample_additive",
     "sample_multiplicative",
     "semicircle_uniform_moment",
     "stirling_first",
     "stirling_via_log_series",
-    "verify_exp_image_moments",
     "verify_stirling_identity",
 }
 

@@ -131,6 +131,22 @@ class TestNu:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("inf", "non-finite complex number: 'inf'"),
+            ("-inf+1i", "non-finite complex number: '-inf+1i'"),
+            ("nan", "non-finite complex number: 'nan'"),
+            ("1+2x", "malformed complex number: '1+2x'"),
+        ],
+    )
+    def test_bad_alpha_is_named(self, capsys, alpha: str, message: str):
+        # inf and -inf+1i were called malformed: the i of inf was read as the imaginary unit
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["nu", f"--alpha={alpha}", "--t", "1"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --alpha: {message}\n")
+
     def test_refused_sum_is_replaced_by_the_contour_integral(self, capsys):
         # the direct sum cancels; it exited 3 with "lost over half its
         # digits", since |alpha t| = 27.3 was below the large-argument gate
