@@ -19,7 +19,7 @@ import sys
 import pytest
 
 import freemoments
-from freemoments import freeconv, moments, rmtlab
+from freemoments import checks, freeconv, moments, rmtlab
 
 PUBLIC = {
     "AdditiveModelConfig",
@@ -183,3 +183,15 @@ assert freemoments.mgf(law, 0.5 + 2j) == complex(
 )
 """
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_moment_agreement_is_a_named_tuple():
+    # the Laguerre-vs-1F1 agreement of the integer moments of nu_t is a
+    # verify check, and passes up to its largest deviation and no further
+    agreement = checks.exp_image_moments(10, 1.0, 1e-10)
+    assert isinstance(agreement, tuple)
+    assert agreement._fields == ("name", "passed", "detail")
+    assert agreement.name == "exp-image-moments"
+    assert agreement.detail.endswith("for n <= 10, t=1.0")
+    assert agreement.passed is True
+    assert checks.exp_image_moments(10, 1.0, 0.0).passed is False
