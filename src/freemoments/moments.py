@@ -9,6 +9,10 @@ Two deliberately independent routes exist for the time-coupled moments: a
 closed form in Stirling numbers and a quadratic recursion derived from the
 time evolution of the pair.  The recursion route never touches Stirling
 numbers, so the two implementations can act as oracles for each other.
+Its rows, each fixed by the rows before it, live in a published table that
+is grown by rebinding to a longer copy, and only to the order asked for:
+the cost of a row rises steeply with its order, so growing geometrically,
+as the Stirling table does, would build costly rows no caller asked for.
 Every exponential moment ``E[e^(alpha X)]`` of a semicircle-uniform free
 sum, fractional moments of the free log-normal law included, is a series
 sum that :func:`_confirmed_mgf` returns only once a second route confirms it.
@@ -95,6 +99,45 @@ def moment_polynomial(n: int) -> RationalPolynomial:
     return RationalPolynomial._from_integers(numerators, math.factorial(n + 1))
 
 
+# A row of the recursion: m_n and (first, numerators[first:]), its integer
+# numerators from the first nonzero one on, which the later rows read.
+_RecursionRow = tuple[RationalPolynomial, int, tuple[int, ...]]
+
+
+def _extended_recursion(table: list[_RecursionRow], n_max: int) -> list[_RecursionRow]:
+    # a longer copy, rows len(table) .. n_max of the quadratic recursion
+    table = table.copy()
+    for n in range(len(table), n_max + 1):
+        # acc[k-1] / common = [t^(k-1)] sum_{a+b=n-2} m_a m_b, pairs a <= b
+        pairs = [(table[a], table[n - 2 - a]) for a in range(n // 2)]
+        common = math.lcm(*(left[0]._denominator * right[0]._denominator for left, right in pairs))
+        acc = [0] * (n - 1)
+        for a, (left_row, right_row) in enumerate(pairs):
+            left, left_first, left_tail = left_row
+            right, right_first, right_tail = right_row
+            scale = common // (left._denominator * right._denominator) * (1 if 2 * a == n - 2 else 2)
+            for i, x in enumerate(left_tail, left_first + right_first):
+                x *= scale
+                for degree, y in enumerate(right_tail, i):
+                    acc[degree] += x * y
+        # c(n, k) = n acc[k-1] / (2 (n-k) common) and c(n, n) over one denominator
+        divisors = math.lcm(1 + n, *(2 * (n - k) for k in range(1, n)))
+        row = [0] * (n + 1)
+        for k in range(1, n):
+            row[k] = n * acc[k - 1] * (divisors // (2 * (n - k)))
+        row[n] = (-1) ** n * (divisors // (1 + n)) * common
+        polynomial = RationalPolynomial._from_integers(row, divisors * common)
+        numerators = polynomial._numerators
+        first = next(k for k, value in enumerate(numerators) if value)
+        table.append((polynomial, first, numerators[first:]))
+    return table
+
+
+# Rows 0 .. len - 1 of the recursion.  Growing rebinds the name to a longer
+# copy and never mutates a published list, so concurrent readers stay safe.
+_recursion_rows: list[_RecursionRow] = []
+
+
 def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
     """Moment polynomials ``m_0 .. m_{n_max}`` from the quadratic recursion.
 
@@ -117,37 +160,23 @@ def moment_polynomials_from_recursion(n_max: int) -> list[RationalPolynomial]:
     reduces to ``D_n`` with one gcd.  Each row enters the products from its
     first nonzero numerator on: ``c(a, l) = 0`` for ``l < ceil(a/2)``, but
     the recursion finds where each row starts instead of assuming it.
+
+    Each row depends only on the rows before it, so the rows are kept in a
+    module-level table, built by the recursion alone and published by
+    rebinding to a longer copy; it is never seeded from the closed form.  A
+    call past its end grows it to exactly ``n_max``, not geometrically as
+    the Stirling table grows for its scattered single lookups: rows
+    ``0 .. n`` cost ``O(n^4)`` integer products, so doubling would build,
+    at up to 16 times the cost of the call, rows nobody asked for.  The
+    returned list is the caller's own; the polynomials are immutable.
     """
+    global _recursion_rows
     if n_max < 0:
         raise ValueError("order must be a natural number")
-    polynomials: list[RationalPolynomial] = []
-    # (first, numerators[first:]) of each row, from its first nonzero numerator
-    tails: list[tuple[int, tuple[int, ...]]] = []
-    for n in range(n_max + 1):
-        # acc[k-1] / common = [t^(k-1)] sum_{a+b=n-2} m_a m_b, pairs a <= b
-        pairs = [(polynomials[a], polynomials[n - 2 - a]) for a in range(n // 2)]
-        common = math.lcm(*(left._denominator * right._denominator for left, right in pairs))
-        acc = [0] * (n - 1)
-        for a, (left, right) in enumerate(pairs):
-            scale = common // (left._denominator * right._denominator) * (1 if 2 * a == n - 2 else 2)
-            left_first, left_tail = tails[a]
-            right_first, right_tail = tails[n - 2 - a]
-            for i, x in enumerate(left_tail, left_first + right_first):
-                x *= scale
-                for degree, y in enumerate(right_tail, i):
-                    acc[degree] += x * y
-        # c(n, k) = n acc[k-1] / (2 (n-k) common) and c(n, n) over one denominator
-        divisors = math.lcm(1 + n, *(2 * (n - k) for k in range(1, n)))
-        row = [0] * (n + 1)
-        for k in range(1, n):
-            row[k] = n * acc[k - 1] * (divisors // (2 * (n - k)))
-        row[n] = (-1) ** n * (divisors // (1 + n)) * common
-        polynomial = RationalPolynomial._from_integers(row, divisors * common)
-        numerators = polynomial._numerators
-        first = next(k for k, value in enumerate(numerators) if value)
-        polynomials.append(polynomial)
-        tails.append((first, numerators[first:]))
-    return polynomials
+    table = _recursion_rows
+    if n_max >= len(table):
+        table = _recursion_rows = _extended_recursion(table, n_max)
+    return [polynomial for polynomial, _, _ in table[: n_max + 1]]
 
 
 def semicircle_uniform_moment(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -115,10 +116,87 @@ class TestMomentPolynomials:
         for n in range(61):
             assert moment_polynomial(n) == recursion[n]
 
-    def test_recursion_matches_fraction_loop_bit_for_bit(self):
+    def test_recursion_matches_fraction_loop_bit_for_bit(self, monkeypatch):
+        # from an empty table, so the kernel runs whatever ran before
+        monkeypatch.setattr(moments, "_recursion_rows", [])
         reference = fraction_loop_recursion(24)
         for poly, row in zip(moment_polynomials_from_recursion(24), reference, strict=True):
             assert as_pairs(poly.coefficients) == as_pairs(row)
+
+    def test_recursion_grows_a_partial_table(self, monkeypatch):
+        monkeypatch.setattr(moments, "_recursion_rows", [])
+        reference = fraction_loop_recursion(24)
+        short = moment_polynomials_from_recursion(5)
+        published = moments._recursion_rows
+        assert len(published) == 6
+        grown = moment_polynomials_from_recursion(24)
+        assert len(moments._recursion_rows) == 25
+        # growing publishes a longer copy; a reader of the old list sees it unchanged
+        assert len(published) == 6
+        for poly, row in zip(grown, reference, strict=True):
+            assert as_pairs(poly.coefficients) == as_pairs(row)
+        assert short == grown[:6]
+
+    def test_recursion_smaller_order_is_the_prefix(self, monkeypatch):
+        monkeypatch.setattr(moments, "_recursion_rows", [])
+        longer = moment_polynomials_from_recursion(20)
+        for n_max in (0, 1, 7, 20):
+            assert moment_polynomials_from_recursion(n_max) == longer[: n_max + 1]
+
+    def test_recursion_result_is_the_callers_own(self):
+        first = moment_polynomials_from_recursion(12)
+        expected = list(first)
+        first.append(RationalPolynomial([7]))
+        first[3] = RationalPolynomial([5])
+        del first[0]
+        assert moment_polynomials_from_recursion(12) == expected
+        assert moment_polynomials_from_recursion(14)[:13] == expected
+
+    def test_recursion_repeat_builds_no_row(self, monkeypatch):
+        monkeypatch.setattr(moments, "_recursion_rows", [])
+        built = []
+        from_integers = RationalPolynomial._from_integers.__func__
+
+        def counted(cls, numerators, denominator):
+            built.append(len(numerators) - 1)
+            return from_integers(cls, numerators, denominator)
+
+        monkeypatch.setattr(RationalPolynomial, "_from_integers", classmethod(counted))
+        expected = moment_polynomials_from_recursion(12)
+        assert built == list(range(13))
+        built.clear()
+        assert moment_polynomials_from_recursion(12) == expected
+        assert moment_polynomials_from_recursion(4) == expected[:5]
+        assert built == []
+        moment_polynomials_from_recursion(14)
+        assert built == [13, 14]
+
+    def test_recursion_grown_from_two_threads(self, monkeypatch):
+        monkeypatch.setattr(moments, "_recursion_rows", [])
+        reference = fraction_loop_recursion(24)
+        start = threading.Barrier(2)
+        results: dict[int, list[RationalPolynomial]] = {}
+
+        def grow(n_max: int) -> None:
+            start.wait()
+            results[n_max] = moment_polynomials_from_recursion(n_max)
+
+        threads = [threading.Thread(target=grow, args=(n_max,)) for n_max in (18, 24)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for n_max, polynomials in results.items():
+            assert [as_pairs(p.coefficients) for p in polynomials] == [
+                as_pairs(row) for row in reference[: n_max + 1]
+            ], n_max
+        # whichever thread published last, the table is a correct prefix
+        table = moments._recursion_rows
+        assert len(table) in (19, 25)
+        assert [as_pairs(p.coefficients) for p, _, _ in table] == [
+            as_pairs(row) for row in reference[: len(table)]
+        ]
+        assert sorted(results) == [18, 24]
 
     def test_closed_form_matches_fraction_coefficients_bit_for_bit(self):
         for n in range(61):
@@ -127,6 +205,29 @@ class TestMomentPolynomials:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moment_polynomial(-1)
+
+    def test_recursion_negative_order_rejected_before_the_table(self, monkeypatch):
+        published = moments._extended_recursion([], 3)
+
+        def refuse(table, n_max):
+            raise AssertionError("the table was grown")
+
+        monkeypatch.setattr(moments, "_recursion_rows", published)
+        monkeypatch.setattr(moments, "_extended_recursion", refuse)
+        with pytest.raises(ValueError):
+            moment_polynomials_from_recursion(-1)
+        assert moments._recursion_rows is published
+        assert len(published) == 4
+
+    @pytest.mark.parametrize("rows", [0, 31])
+    @pytest.mark.parametrize("n_max", [2.5, 3.0])
+    def test_recursion_non_integer_order_rejected(self, monkeypatch, rows: int, n_max: float):
+        published = moments._extended_recursion([], rows - 1)
+        monkeypatch.setattr(moments, "_recursion_rows", published)
+        with pytest.raises(TypeError):
+            moment_polynomials_from_recursion(n_max)
+        assert moments._recursion_rows is published
+        assert len(published) == rows
 
 
 class TestSemicircleUniformMoment:
