@@ -7,6 +7,13 @@ onto density grids, the exponential pushforward, the closed-form support
 of the free log-normal law, and exponential moments as a contour integral in
 the subordination variable, with no series and no solver.
 
+Biane's curve is solved in one place: one Newton solve of its angle
+equation (``_biane_angles``) serves both the solver's start and the
+contour, whose height is the curve's apex; ``_biane_points`` and
+``_biane_offsets`` hold its geometry; and ``_uniform_transform`` is the one
+kernel for the uniform law's transform, on the curve, in the solver and on
+the contour.
+
 A density grid whose law and window are both centred on 0 (every free
 log-normal window is) is solved on its right half only: for a law symmetric
 about 0, ``G(-conj z) = -conj G(z)`` gives the left half, on abscissae that
@@ -107,7 +114,9 @@ def cauchy_semicircle(z: complex, radius: float) -> complex:
 
     Branch chosen so that ``G(z) ~ 1/z`` at infinity and ``Im G < 0``;
     evaluated in the cancellation-free form ``2 / (z + sqrt(z^2 - R^2))``.
+    Arguments that are nan or infinite raise ``ValueError``.
     """
+    _raise_not_finite(radius=radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
     g = _cauchy_semicircle_raw(_as_upper(z), radius)
@@ -119,8 +128,9 @@ def cauchy_uniform(z: complex, lo: float, hi: float) -> complex:
     """Cauchy transform ``log((z - lo)/(z - hi)) / (hi - lo)`` of ``Uniform[lo, hi]``.
 
     Principal logarithm; ``lo == hi`` degenerates to the point-mass transform
-    ``1/(z - lo)``.
+    ``1/(z - lo)``.  Arguments that are nan or infinite raise ``ValueError``.
     """
+    _raise_not_finite(lo=lo, hi=hi)
     if lo > hi:
         raise ValueError("need lo <= hi")
     lo, hi = float(lo), float(hi)
@@ -143,40 +153,35 @@ _MAX_ITERATIONS = 10_000
 _CURVE_SAMPLES = 200
 
 
-def _biane_curve(c: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary values ``G(x + i0)`` of ``Semicircle(2 sqrt c) boxplus
-    Uniform[lo, hi]`` (``lo < hi``) at increasing x from one support edge to
-    the other.
+def _biane_points(c: float, lo: float, hi: float) -> tuple[float, float]:
+    """``R = sqrt(h^2 + c)``, the distance from the centre of ``[lo, hi]`` to
+    Biane's points ``mid ± R`` (h the half-width), and ``R - h`` in a form
+    that does not cancel."""
+    half = 0.5 * (hi - lo)
+    spread = math.sqrt(half * half + c)
+    return spread, c / (spread + half)
 
-    With ``omega = z - c G`` the subordination equation reads
-    ``z = omega + c G_U(omega)`` and ``G = G_U(omega)``.  As z runs along the
-    support, omega runs along Biane's curve (Biane, Indiana Univ. Math. J.
-    46, 1997): the point ``u + i v``, ``u`` in ``[u-, u+]``, at which
-    ``[lo, hi]`` subtends the angle ``theta = width v / c``.  There
-    ``x = u + c Re G_U(omega)`` increases with u, ``Im G = -theta / width``,
-    and the density is ``theta / (pi width)``.  With mid the centre and h the
-    half-width of ``[lo, hi]``, ``u± = mid ± R``, ``R = sqrt(h^2 + c)``, where
-    ``theta = 0``; they map to the support edges ``u± + c G_U(u±)``.
 
-    The samples are ``u = mid - R cos(phi)``, which resolve the square-root
-    edges.  ``omega`` lies on the circle through lo and hi that sees
+def _biane_offsets(c: float, lo: float, hi: float, phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``u - lo`` and ``u - hi`` at ``u = mid - R cos(phi)``, each in the
+    form that does not cancel at its edge (``R`` from :func:`_biane_points`)."""
+    spread, gap = _biane_points(c, lo, hi)
+    ulo = 2.0 * spread * np.sin(0.5 * phi) ** 2 - gap
+    return ulo, gap - 2.0 * spread * np.cos(0.5 * phi) ** 2
+
+
+def _biane_angles(c: float, width: float, product: np.ndarray) -> np.ndarray:
+    """The angles theta in ``(0, pi]`` at which ``[lo, hi]`` subtends Biane's
+    curve (:func:`_biane_curve`) above the points u with
+    ``(u - lo)(u - hi) = product``, each ``< c``.
+
+    ``omega = u + i v`` lies on the circle through lo and hi that sees
     ``[lo, hi]`` at theta, so ``(u - lo)(u - hi) + v^2 = width v cot(theta)``;
     with ``v = c theta / width`` and multiplied by ``sin(theta) / theta``,
     this is an equation in theta that is smooth on ``[0, pi]``.  Newton
     solves it from the upper bound that ``theta cot(theta) <= 1 - theta^2/3``
-    gives.
+    gives; no step may more than halve theta or pass pi.
     """
-    width = hi - lo
-    half = 0.5 * width
-    spread = math.sqrt(half * half + c)
-    gap = c / (spread + half)  # spread - half without cancellation
-    # u - lo and u - hi, each in the form that does not cancel at its edge
-    phi = np.arange(_CURVE_SAMPLES) * (math.pi / (_CURVE_SAMPLES - 1))
-    ulo = 2.0 * spread * np.sin(0.5 * phi) ** 2 - gap
-    uhi = gap - 2.0 * spread * np.cos(0.5 * phi) ** 2
-    # theta = 0 at both edges; Newton runs on the angles between them, where
-    # (u - lo)(u - hi) < c
-    product = ulo[1:-1] * uhi[1:-1]
     k = (c / width) ** 2
     theta = np.minimum(np.sqrt((c - product) / (c / 3.0 + k)), math.pi)
     for _ in range(50):
@@ -191,56 +196,36 @@ def _biane_curve(c: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
         theta = np.clip(theta - step, 0.5 * theta, math.pi)
         if not np.abs(step).max() > 64.0 * _EPS:
             break
-    theta = np.concatenate(([0.0], theta, [0.0]))
-    v = (c / width) * theta
-    # Re G_U = log(|omega - lo| / |omega - hi|) / width; as in
-    # _uniform_transform, log1p takes the squared ratio 1 + q,
-    # q = width (ulo + uhi) / |omega - hi|^2, where |q| < 1/2 and would lose
-    # digits to the sum 1 + q, and log takes it elsewhere; the branch not
-    # taken may meet log1p(-1)
-    lo_sq, hi_sq = ulo * ulo + v * v, uhi * uhi + v * v
-    q = width * (ulo + uhi) / hi_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        real = (0.5 / width) * np.where(np.abs(q) < 0.5, np.log1p(q), np.log(lo_sq / hi_sq))
-    g = np.empty(theta.size, dtype=complex)
-    g.real = real
-    g.imag = -theta / width
-    return lo + ulo + c * real, g
-
-
-def _biane_apex_angle(c: float, width: float) -> float:
-    """The largest angle ``theta*`` on Biane's curve (:func:`_biane_curve`),
-    reached at ``u = mid``, where the curve is ``c theta* / width`` high.
-
-    It is the root in ``(0, pi)`` of the curve's equation at ``u = mid``,
-    ``(h^2 - (c theta / width)^2) sinc(theta) + c cos(theta) = 0``, whose
-    left side is ``h^2 + c`` at 0, ``-c`` at pi and changes sign once.
-    Newton runs from the same upper bound as in :func:`_biane_curve`; a step
-    that leaves the bracket of the last sign change bisects it instead.
-    """
-    half_sq = 0.25 * width * width
-    k = (c / width) ** 2
-    below, above = 0.0, math.pi  # the value is positive below the root
-    theta = min(math.sqrt((c + half_sq) / (c / 3.0 + k)), math.pi)
-    for _ in range(100):
-        sin, cos = math.sin(theta), math.cos(theta)
-        sinc = sin / theta
-        factor = half_sq - k * theta * theta
-        value = factor * sinc + c * cos
-        if value > 0.0:
-            below = theta
-        else:
-            above = theta
-        # d sinc / d theta, by its series where the quotient cancels
-        dsinc = (cos - sinc) / theta if theta > 1e-3 else -theta / 3.0
-        slope = factor * dsinc - 2.0 * k * theta * sinc - c * sin
-        step = value / slope
-        if not below <= theta - step <= above:
-            step = theta - 0.5 * (below + above)
-        theta -= step
-        if not abs(step) > 4.0 * _EPS * theta:
-            break
     return theta
+
+
+def _biane_curve(c: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary values ``G(x + i0)`` of ``Semicircle(2 sqrt c) boxplus
+    Uniform[lo, hi]`` (``lo < hi``) at increasing x from one support edge to
+    the other.
+
+    With ``omega = z - c G`` the subordination equation reads
+    ``z = omega + c G_U(omega)`` and ``G = G_U(omega)``.  As z runs along the
+    support, omega runs along Biane's curve (Biane, Indiana Univ. Math. J.
+    46, 1997): the point ``u + i v``, ``u`` in ``[u-, u+]``, at which
+    ``[lo, hi]`` subtends the angle ``theta = width v / c``
+    (:func:`_biane_angles`).  There ``x = u + c Re G_U(omega)`` increases
+    with u, ``Im G = -theta / width``, and the density is
+    ``theta / (pi width)``.  ``u± = mid ± R`` (:func:`_biane_points`), where
+    ``theta = 0``, map to the support edges ``u± + c G_U(u±)``.  The samples
+    are ``u = mid - R cos(phi)``, which resolve the square-root edges.
+    """
+    width = hi - lo
+    phi = np.arange(_CURVE_SAMPLES) * (math.pi / (_CURVE_SAMPLES - 1))
+    ulo, uhi = _biane_offsets(c, lo, hi, phi)
+    # theta = 0 at both edges; Newton runs on the angles between them, where
+    # (u - lo)(u - hi) < c
+    theta = np.concatenate(([0.0], _biane_angles(c, width, ulo[1:-1] * uhi[1:-1]), [0.0]))
+    iv = 1j * (c / width) * theta
+    g = np.empty(theta.size, dtype=complex)
+    g.real = _uniform_transform(ulo + iv, uhi + iv, width).real
+    g.imag = -theta / width
+    return lo + ulo + c * g.real, g
 
 
 def _real_axis_start(z: np.ndarray, c: float, lo: float, hi: float) -> np.ndarray:
@@ -257,14 +242,13 @@ def _real_axis_start(z: np.ndarray, c: float, lo: float, hi: float) -> np.ndarra
     """
     x = z.real
     width = hi - lo
-    half = 0.5 * width
     mid = 0.5 * (lo + hi)
-    spread = math.sqrt(half * half + c)
+    spread, gap = _biane_points(c, lo, hi)
     curve_x, curve_g = _biane_curve(c, lo, hi)
     extent = max(float(x.max()) - mid, mid - float(x.min()), 2.0 * spread)
     count = _CURVE_SAMPLES // 4
     psi = np.arange(1, count + 1) * (math.acosh(extent / spread) / count)
-    beyond = c / (spread + half) + 2.0 * spread * np.sinh(0.5 * psi) ** 2
+    beyond = gap + 2.0 * spread * np.sinh(0.5 * psi) ** 2
     # G is odd about mid on the real axis beyond the support
     outer_g = np.log1p(width / beyond) / width
     outer_x = hi + beyond + c * outer_g
@@ -614,29 +598,29 @@ def _contour_mgf(alpha: complex, c: float, lo: float, hi: float) -> complex:
     subordination variable w, ``z(w) = w + c G_U(w)``, around ``[lo, hi]``.
 
     The contour is the ellipse through Biane's points ``mid ± sqrt(h^2 + c)``
-    as high as the apex of Biane's curve (:func:`_biane_apex_angle`), on
-    which z stays near the real axis; the trapezoid rule in the angle
-    converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    (:func:`_biane_points`) as high as the apex of Biane's curve, above
+    ``u = mid`` (:func:`_biane_angles`), on which z stays near the real axis;
+    the trapezoid rule in the angle converges geometrically (Trefethen and
+    Weideman, SIAM Rev. 56, 2014).
     ``e^(alpha z)`` is scaled by its largest modulus on the first nodes.
     Raises :class:`SeriesConvergenceError` when the sum does not settle, when
     its largest term exceeds ``2**26`` times the value, or past the float
     range.
     """
     width = hi - lo
-    half = 0.5 * width
-    spread = math.sqrt(half * half + c)
-    gap = c / (spread + half)  # spread - half without cancellation
-    height = (c / width) * _biane_apex_angle(c, width)
+    spread, _ = _biane_points(c, lo, hi)
+    # the apex is above u = mid, where (u - lo)(u - hi) = -h^2
+    apex = _biane_angles(c, width, np.array([-0.25 * width * width]))
+    height = (c / width) * float(apex[0])
     law = f"(alpha={alpha}, c={c}, lo={lo}, hi={hi})"
     nodes, new, shift = _CONTOUR_NODES, slice(None), None
     total, largest, value = 0j, 0.0, math.nan  # the first sum has none to agree with
     while nodes <= _CONTOUR_MAX_NODES:
-        # w = mid - spread cos(phi) - i height sin(phi), counterclockwise;
-        # w - lo and w - hi in the forms of _biane_curve
+        # w = mid - spread cos(phi) - i height sin(phi), counterclockwise
         phi = np.arange(nodes)[new] * (2.0 * math.pi / nodes)
         sin = np.sin(phi)
-        wlo = 2.0 * spread * np.sin(0.5 * phi) ** 2 - gap - 1j * height * sin
-        whi = gap - 2.0 * spread * np.cos(0.5 * phi) ** 2 - 1j * height * sin
+        ulo, uhi = _biane_offsets(c, lo, hi, phi)
+        wlo, whi = ulo - 1j * height * sin, uhi - 1j * height * sin
         g = _uniform_transform(wlo, whi, width)
         power = alpha * (lo + wlo + c * g)
         if shift is None:

@@ -2,13 +2,17 @@
 
 These are inert value objects; moment, transform, and density machinery
 dispatch on them elsewhere.  Scalar fields accept int, Fraction, or float;
-exact engines keep Fraction inputs exact.
+exact engines keep Fraction inputs exact.  A float field that is nan or
+infinite raises ``ValueError``, before any other check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Union
+
+from .specfun import _raise_not_finite
 
 __all__ = [
     "Semicircle",
@@ -24,6 +28,11 @@ __all__ = [
 ScalarLike = Union[int, float, Fraction]
 
 
+def _check_finite(**fields: ScalarLike) -> None:
+    # an int or a Fraction is finite, even past the float range
+    _raise_not_finite(**{k: v for k, v in fields.items() if not isinstance(v, Rational)})
+
+
 @dataclass(frozen=True)
 class Semicircle:
     """Centered semicircle law with support ``[-radius, radius]``."""
@@ -31,6 +40,7 @@ class Semicircle:
     radius: ScalarLike
 
     def __post_init__(self) -> None:
+        _check_finite(radius=self.radius)
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -43,6 +53,7 @@ class Uniform:
     hi: ScalarLike
 
     def __post_init__(self) -> None:
+        _check_finite(lo=self.lo, hi=self.hi)
         if self.lo > self.hi:
             raise ValueError("need lo <= hi")
 
@@ -53,6 +64,9 @@ class Dirac:
 
     center: ScalarLike
 
+    def __post_init__(self) -> None:
+        _check_finite(center=self.center)
+
 
 @dataclass(frozen=True)
 class Scaled:
@@ -62,6 +76,7 @@ class Scaled:
     inner: "MeasureSpec"
 
     def __post_init__(self) -> None:
+        _check_finite(factor=self.factor)
         if self.factor == 0:
             raise ValueError("factor must be nonzero")
 
@@ -94,6 +109,7 @@ class FreeLogNormal:
     time: ScalarLike
 
     def __post_init__(self) -> None:
+        _check_finite(time=self.time)
         if self.time <= 0:
             raise ValueError("time must be positive")
 

@@ -469,11 +469,14 @@ def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     Free sums of a semicircle with a uniform law follow the confirmation
     rule of :func:`free_lognormal_moment_alpha`; exponential images and the
     free log-normal law are out of scope here (their linear moments live in
-    :func:`moment`).
+    :func:`moment`).  An ``alpha`` that is nan or infinite raises
+    ``ValueError``.
     """
     from .measures import Dirac, FreeSum, Scaled, Semicircle, Uniform
 
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        _raise_not_finite(alpha=alpha)
     if isinstance(measure, Dirac):
         return cmath.exp(alpha * complex(measure.center))
     if isinstance(measure, Uniform):

@@ -94,6 +94,15 @@ def test_module_public_names_resolve(module: str):
     assert set(names) <= set(namespace)
 
 
+@pytest.mark.parametrize("module", ["measures", "freeconv", "rmtlab"])
+def test_lazy_names_are_the_module_public_names(module: str):
+    # a public name added to a lazy module must reach the package too; the
+    # typed errors it re-exports are bound eagerly, not through _LAZY
+    lazy = {name for name, owner in freemoments._LAZY.items() if owner == module}
+    public = set(importlib.import_module(f"freemoments.{module}").__all__)
+    assert lazy == public - {"BranchError", "PositivityError", "SubordinationError"}
+
+
 def test_moments_binds_the_traced_kernels():
     assert moments.stirling_first is freemoments.stirling_first
     assert moments.laguerre is freemoments.laguerre

@@ -308,21 +308,26 @@ class TestBianeCurve:
         uniform = np.array([cauchy_uniform(w, lo, hi) for w in omega])
         assert np.abs(uniform - g[1:-1]).max() <= 1e-13 * max(1.0, np.abs(g).max())
 
-    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 64.0, 1e6])
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 64.0, 1e6, 1e10])
     def test_apex_angle(self, c):
         # at u = mid the circle equation (u - lo)(u - hi) + v^2 = width v cot(theta),
-        # v = c theta / width, times sinc(theta) is smooth on [0, pi]; no sample
-        # of the curve sits at mid, so the apex is above every sample, by
-        # about 3e-5 relative at c >= 1
-        lo, hi = -0.5, 0.5
-        width = hi - lo
-        theta = freeconv._biane_apex_angle(c, width)
-        assert 0.0 < theta < math.pi
-        half_sq, v = (0.5 * width) ** 2, c * theta / width
-        residual = (half_sq - v * v) * math.sin(theta) / theta + c * math.cos(theta)
-        assert abs(residual) <= 1e-12 * (half_sq + v * v + c)
-        sampled = -width * float(freeconv._biane_curve(c, lo, hi)[1].imag.min())
-        assert sampled <= theta <= sampled * (1 + 1e-4)
+        # v = c theta / width, times sinc(theta) is smooth on [0, pi]; the
+        # curve's own solve gives the apex at (u - lo)(u - hi) = -h^2.  No
+        # sample of the curve sits at mid, so the apex is above every sample,
+        # by about 3e-5 relative at c >= 1.  The two are compared as
+        # Im G = -theta / width: at c = 1e-12, width 100 both angles round to
+        # 3 ulp below pi, and -width * Im G rounds the sample's up by 1 ulp
+        for width in (1e-3, 1.0, 100.0):
+            lo, hi = -0.5 * width, 0.5 * width
+            half_sq = (0.5 * width) ** 2
+            theta = float(freeconv._biane_angles(c, width, np.array([-half_sq]))[0])
+            assert 0.0 < theta < math.pi
+            v = c * theta / width
+            residual = (half_sq - v * v) * math.sin(theta) / theta + c * math.cos(theta)
+            assert abs(residual) <= 1e-12 * (half_sq + v * v + c)
+            lowest = float(freeconv._biane_curve(c, lo, hi)[1].imag.min())
+            assert -theta / width <= lowest
+            assert theta <= -width * lowest * (1 + 1e-4)
 
 
 class TestSolverWork:
@@ -558,6 +563,10 @@ def test_non_finite_arguments_raise_value_error(bad):
     for name in ("radius", "lo", "hi"):
         law = dict(radius=2.0, lo=-0.5, hi=0.5)
         calls.append((name, lambda name=name: free_sum_cauchy(0.1 + 0.1j, **{**law, name: bad})))
+    # before, these warned and raised BranchError
+    calls.append(("radius", lambda: cauchy_semicircle(0.1 + 0.1j, bad)))
+    calls.append(("lo", lambda: cauchy_uniform(0.1 + 0.1j, bad, 1.0)))
+    calls.append(("hi", lambda: cauchy_uniform(0.1 + 0.1j, 0.0, bad)))
     calls.append(("z", lambda: free_sum_cauchy(complex(bad, 0.1), 2.0, -0.5, 0.5)))
     calls.append(("z", lambda: free_sum_cauchy(complex(0.1, bad), 2.0, -0.5, 0.5)))
     calls.append(("t", lambda: free_lognormal_support(bad)))

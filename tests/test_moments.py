@@ -616,6 +616,15 @@ class TestMeasureDispatch:
         assert moment(Dirac(Fraction(3, 2)), 2) == Fraction(9, 4)
         assert moment(Scaled(2, Uniform(0, 1)), 1) == 1
 
+    def test_exact_fields_past_the_float_range(self):
+        # the specifications reject nan and infinite floats only; an int or a
+        # Fraction past the float range still names a law
+        big = 10**400
+        assert moment(Uniform(0, big), 1) == Fraction(big, 2)
+        assert moment(Dirac(Fraction(big, 3)), 2) == Fraction(big * big, 9)
+        assert moment(Scaled(big, Semicircle(2)), 2) == big * big
+        assert moment(FreeLogNormal(big), 0) == 1
+
     def test_free_sum_routes_to_exact_engine(self):
         measure = FreeSum(Semicircle(2.0), Uniform(-1, 0))
         for n in range(9):

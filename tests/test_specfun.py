@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemoments import checks, specfun
-from freemoments.measures import Semicircle
+from freemoments.measures import Dirac, FreeLogNormal, Scaled, Semicircle, Uniform
 from freemoments.moments import (
     additive_mgf,
     free_lognormal_moment,
@@ -505,6 +505,17 @@ def test_non_finite_arguments_raise_value_error(bad):
         ("x", lambda: kummer_1f1(1, 2, bad)),
         ("alpha", lambda: additive_mgf(bad, 1.0)),
         ("t", lambda: additive_mgf(2, bad)),
+        # before, mgf returned nan or inf + nan j, or refused for overflow
+        ("alpha", lambda: mgf(Uniform(0, 1), bad)),
+        ("alpha", lambda: mgf(Dirac(1), bad)),
+        ("alpha", lambda: mgf(Semicircle(2), bad)),
+        ("alpha", lambda: mgf(Semicircle(2), complex(0.5, bad))),
+        ("radius", lambda: Semicircle(bad)),
+        ("lo", lambda: Uniform(bad, 1.0)),
+        ("hi", lambda: Uniform(0.0, bad)),
+        ("center", lambda: Dirac(bad)),
+        ("factor", lambda: Scaled(bad, Semicircle(2))),
+        ("time", lambda: FreeLogNormal(bad)),
         ("t", lambda: free_lognormal_moment(1, bad)),
         ("t", lambda: free_lognormal_moment(3, bad)),
         ("alpha", lambda: free_lognormal_moment_alpha(bad, 1.0)),
