@@ -142,32 +142,33 @@ def verify_stirling_identity(l: int, m: int) -> IdentityCheck:
 
         C(m, k) C(m, 1+k) s(1+k, n) s(m-k, l+1-n) / C(l+m-2, n+k-1)
 
-    scaled by ``(m+1)/(l+m-1)``.  The sum runs only where both Stirling
-    factors are nonzero, and there ``d = n+k-1`` stays in ``0 .. l+m-2``,
-    where no ``C(l+m-2, d)`` vanishes; a range past that would be a
-    transcription bug and raises.  Each ``1 / C(l+m-2, d)`` is an integer
-    over the lcm of the binomials (a table kept per ``l+m-2``), so the right
-    side sums integer numerators and is one ``Fraction``, normalised once.
+    scaled by ``(m+1)/(l+m-1)``.  Both Stirling factors are nonzero only for
+    ``l+1-m+k <= n <= 1+k``, a range empty for every ``k`` when ``l > m``;
+    there both sides are 0 and no table is read.  The summand is unchanged
+    under ``(k, n) -> (m-1-k, l+1-n)``, so the rows ``k < m/2`` are summed
+    twice and the middle row of an odd ``m`` once.  Each ``1 / C(l+m-2, d)``
+    is an integer over the lcm of the binomials (a table kept per
+    ``l+m-2``), so the right side sums integer numerators and is one
+    ``Fraction``, normalised once.
     """
     if l < 1 or m < 1:
         raise ValueError("identity range is l >= 1, m >= 1")
+    if l > m:
+        return IdentityCheck(True, Fraction(0), Fraction(0))
     rows = _stirling_rows(1 + m)
-    lhs = Fraction(2 * l * rows[1 + m][1 + l] if l <= m else 0)
+    lhs = Fraction(2 * l * rows[1 + m][1 + l])
     common, scales = _inverse_binomials(l + m - 2)
-    # d is largest at k = m - 1, n = min(l, m); a d past the table, where
-    # C(l+m-2, d) = 0, would also cut the slices below short
-    if min(l, m) + m - 2 >= len(scales):
-        raise ZeroDivisionError(
-            f"inverted binomial vanished on a nonzero summand (l={l}, m={m})"
-        )
     total = 0
-    for k in range(m):
-        # s(1+k, n) s(m-k, l+1-n) != 0 exactly for l+1-(m-k) <= n <= 1+k
+    weight = 1  # C(m, k)
+    for k in range((m + 1) // 2):
         lo, hi = max(1, l + 1 - m + k), min(l, 1 + k)
         left = rows[1 + k][lo : hi + 1]
         right = rows[m - k][l + 1 - lo : l - hi : -1]  # s(m-k, l+1-n), n = lo .. hi
+        # hi + k <= l + m - 1 = len(scales) once l <= m: no slice is cut short
         scaled = scales[lo + k - 1 : hi + k]  # L // C(l+m-2, n+k-1)
-        weight = math.comb(m, k) * math.comb(m, 1 + k)
-        total += weight * sum(map(mul, map(mul, left, right), scaled))
+        next_weight = weight * (m - k) // (k + 1)
+        row = weight * next_weight * sum(map(mul, map(mul, left, right), scaled))
+        total += 2 * row if 2 * k + 1 < m else row
+        weight = next_weight
     rhs = Fraction((m + 1) * total, (l + m - 1) * common)
     return IdentityCheck(lhs == rhs, lhs, rhs)

@@ -114,7 +114,8 @@ def cauchy_semicircle(z: complex, radius: float) -> complex:
 
     Branch chosen so that ``G(z) ~ 1/z`` at infinity and ``Im G < 0``;
     evaluated in the cancellation-free form ``2 / (z + sqrt(z^2 - R^2))``.
-    Arguments that are nan or infinite raise ``ValueError``.
+    Arguments that are nan, infinite or past the float range raise
+    ``ValueError``.
     """
     _raise_not_finite(radius=radius)
     if radius <= 0:
@@ -128,7 +129,8 @@ def cauchy_uniform(z: complex, lo: float, hi: float) -> complex:
     """Cauchy transform ``log((z - lo)/(z - hi)) / (hi - lo)`` of ``Uniform[lo, hi]``.
 
     Principal logarithm; ``lo == hi`` degenerates to the point-mass transform
-    ``1/(z - lo)``.  Arguments that are nan or infinite raise ``ValueError``.
+    ``1/(z - lo)``.  Arguments that are nan, infinite or past the float
+    range raise ``ValueError``.
     """
     _raise_not_finite(lo=lo, hi=hi)
     if lo > hi:
@@ -382,7 +384,8 @@ def free_sum_cauchy(z: complex, radius: float, lo: float, hi: float) -> complex:
     solve, and a final residual check refuses any point that stopped short
     of the root.  Both raise ``SubordinationError``.  ``lo == hi`` (point
     mass) and tiny ``radius`` reproduce the single-measure transforms.
-    Arguments that are nan or infinite raise ``ValueError``.
+    Arguments that are nan, infinite or past the float range raise
+    ``ValueError``.
     """
     _check_law(radius, lo, hi)
     g = _subordination_cauchy(_as_upper(z), radius, float(lo), float(hi))

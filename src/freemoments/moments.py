@@ -37,6 +37,7 @@ from .exactcomb import stirling_first  # noqa: F401  (perfbench/tracing.py patch
 from .ratpoly import RationalPolynomial
 from .specfun import (
     SeriesConvergenceError,
+    _as_float,
     _nonpositive_integer,
     _raise_not_finite,
     _series_1f1,
@@ -437,7 +438,7 @@ def moment(measure: MeasureSpec, order: int) -> Union[Fraction, float]:
     if isinstance(measure, FreeLogNormal):
         if order == 0:
             return 1.0
-        return free_lognormal_moment(order, float(measure.time))
+        return free_lognormal_moment(order, _as_float("time", measure.time))
     raise TypeError(f"unsupported measure {type(measure).__name__}")
 
 
@@ -470,7 +471,7 @@ def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     rule of :func:`free_lognormal_moment_alpha`; exponential images and the
     free log-normal law are out of scope here (their linear moments live in
     :func:`moment`).  An ``alpha`` that is nan or infinite raises
-    ``ValueError``.
+    ``ValueError``, and so does a law parameter past the float range.
     """
     from .measures import Dirac, FreeSum, Scaled, Semicircle, Uniform
 
@@ -478,27 +479,29 @@ def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     if not cmath.isfinite(alpha):
         _raise_not_finite(alpha=alpha)
     if isinstance(measure, Dirac):
-        return cmath.exp(alpha * complex(measure.center))
+        return cmath.exp(alpha * complex(_as_float("center", measure.center)))
     if isinstance(measure, Uniform):
-        lo, hi = float(measure.lo), float(measure.hi)
+        lo, hi = _as_float("lo", measure.lo), _as_float("hi", measure.hi)
         if lo == hi or alpha == 0:
             return cmath.exp(alpha * lo) if lo == hi else 1 + 0j
         return (cmath.exp(alpha * hi) - cmath.exp(alpha * lo)) / (alpha * (hi - lo))
     if isinstance(measure, Semicircle):
-        return _semicircle_mgf(float(measure.radius), alpha)
+        return _semicircle_mgf(_as_float("radius", measure.radius), alpha)
     if isinstance(measure, Scaled):
-        return mgf(measure.inner, alpha * complex(measure.factor))
+        return mgf(measure.inner, alpha * complex(_as_float("factor", measure.factor)))
     if isinstance(measure, FreeSum):
         semicircle, uniform, shift = _free_sum_components(measure.parts)
         if semicircle is not None and uniform is not None:
-            lo, hi = (float(Fraction(end) + shift) for end in (uniform.lo, uniform.hi))
-            return _confirmed_mgf(alpha, (float(semicircle.radius) / 2.0) ** 2, lo, hi)
-        shift_factor = cmath.exp(alpha * float(shift))
+            lo = _as_float("lo", Fraction(uniform.lo) + shift)
+            hi = _as_float("hi", Fraction(uniform.hi) + shift)
+            radius = _as_float("radius", semicircle.radius)
+            return _confirmed_mgf(alpha, (radius / 2.0) ** 2, lo, hi)
+        shift_factor = cmath.exp(alpha * _as_float("center", shift))
         if semicircle is None and uniform is None:
             return shift_factor
         if semicircle is None:
             return shift_factor * mgf(uniform, alpha)
-        return shift_factor * _semicircle_mgf(float(semicircle.radius), alpha)
+        return shift_factor * _semicircle_mgf(_as_float("radius", semicircle.radius), alpha)
     raise TypeError(
         f"exponential moments not defined here for {type(measure).__name__}"
     )

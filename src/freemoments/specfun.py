@@ -71,14 +71,33 @@ def _terminates(a: complex, b: complex) -> bool:
 
 
 def _raise_not_finite(**arguments: Scalar) -> None:
-    """Raise ``ValueError`` naming the first argument that is nan or infinite.
+    """Raise ``ValueError`` naming the first argument that is nan or infinite,
+    or an int or ``Fraction`` past the float range.
 
     The series routines test finiteness inline and call this only when that
     test fails, so a call with finite arguments pays for the test alone.
     """
     for name, value in arguments.items():
-        if not cmath.isfinite(value):
+        try:
+            finite = cmath.isfinite(value)
+        except OverflowError:
+            raise _past_float_range(name) from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _past_float_range(name: str) -> ValueError:
+    # the value itself is not quoted: it may have thousands of digits
+    return ValueError(f"{name} must be finite, got a number past the float range")
+
+
+def _as_float(name: str, value: Scalar) -> float:
+    """``float(value)``, or ``ValueError`` naming ``name`` for an int or
+    ``Fraction`` past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise _past_float_range(name) from None
 
 
 # Truncation contract of the series kernel, read at call time.  A term is

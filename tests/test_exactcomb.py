@@ -147,10 +147,35 @@ class TestStirlingIdentity:
                     assert type(ours) is Fraction, (l, m)
                     assert (ours.numerator, ours.denominator) == (ref.numerator, ref.denominator), (l, m)
 
+    @pytest.mark.parametrize("l, m", [(1, 80), (33, 79), (60, 60), (45, 61)])
+    def test_matches_fraction_loop_past_the_sweep(self, monkeypatch, l: int, m: int):
+        # odd and even m past the 40 x 40 sweep, from the seed tables, so
+        # that both the Stirling rows and the inverse binomials grow
+        monkeypatch.setattr(exactcomb, "_rows", exactcomb._extended([[1]], 16))
+        monkeypatch.setattr(exactcomb, "_inverses", exactcomb._extended_inverses([], 16))
+        outcome = verify_stirling_identity(l, m)
+        lhs, rhs = fraction_loop_identity(l, m)
+        assert outcome.equal
+        for ours, ref in ((outcome.lhs, lhs), (outcome.rhs, rhs)):
+            assert (ours.numerator, ours.denominator) == (ref.numerator, ref.denominator)
+        assert len(exactcomb._rows) > 1 + m and len(exactcomb._inverses) > l + m - 2
+
+    @pytest.mark.parametrize("l, m", [(17, 16), (40, 30), (90, 3)])
+    def test_empty_range_reads_no_table(self, monkeypatch, l: int, m: int):
+        # for l > m no n meets l+1-m+k <= n <= 1+k, and s(1+m, 1+l) = 0
+        rows, inverses = exactcomb._extended([[1]], 16), exactcomb._extended_inverses([], 16)
+        monkeypatch.setattr(exactcomb, "_rows", rows)
+        monkeypatch.setattr(exactcomb, "_inverses", inverses)
+        outcome = verify_stirling_identity(l, m)
+        assert outcome == exactcomb.IdentityCheck(True, 0, 0)
+        assert type(outcome.lhs) is Fraction and type(outcome.rhs) is Fraction
+        assert exactcomb._rows is rows and len(rows) == 17
+        assert exactcomb._inverses is inverses and len(inverses) == 17
+
     @pytest.mark.parametrize("l, m", [(40, 30), (3, 40)])
     def test_grows_a_fresh_table(self, monkeypatch, l: int, m: int):
-        # the identity reads rows up to 1 + m; s(1+m, 1+l) = 0 for l > m
-        # needs no row, so the table must be grown for the double sum itself
+        # the identity reads rows up to 1 + m when l <= m, past the 16-row
+        # seed for (3, 40); (40, 30) lies in the empty range l > m and reads none
         monkeypatch.setattr(exactcomb, "_rows", exactcomb._extended([[1]], 16))
         outcome = verify_stirling_identity(l, m)
         lhs, rhs = fraction_loop_identity(l, m)

@@ -575,6 +575,20 @@ def test_non_finite_arguments_raise_value_error(bad):
             call()
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("radius", lambda: free_sum_cauchy(1j, 10**400, 0, 1)),
+        ("hi", lambda: cauchy_uniform(1j, 0, 10**400)),
+    ],
+    ids=["free_sum_cauchy", "cauchy_uniform"],
+)
+def test_exact_law_parameters_past_the_float_range_are_named(name, call):
+    # before, OverflowError("int too large to convert to float")
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got a number past the float range"):
+        call()
+
+
 @pytest.mark.filterwarnings("error")
 def test_grid_arguments_that_name_no_law_raise_value_error():
     # before, both returned numbers, where free_sum_cauchy raises

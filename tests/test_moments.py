@@ -625,6 +625,12 @@ class TestMeasureDispatch:
         assert moment(Scaled(big, Semicircle(2)), 2) == big * big
         assert moment(FreeLogNormal(big), 0) == 1
 
+    def test_mgf_of_a_radius_past_the_float_range_is_named(self):
+        # the specification accepts it (the exact moments are defined), but
+        # mgf sums in floats; before, OverflowError("int too large to convert to float")
+        with pytest.raises(ValueError, match="^radius must be finite, got a number past the float range"):
+            mgf(Semicircle(10**400), 1.0)
+
     def test_free_sum_routes_to_exact_engine(self):
         measure = FreeSum(Semicircle(2.0), Uniform(-1, 0))
         for n in range(9):
