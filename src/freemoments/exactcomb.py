@@ -62,32 +62,17 @@ def stirling_first(n: int, k: int) -> int:
     return _stirling_rows(n)[n][k]
 
 
-def _log1p_series(degree: int) -> list[Fraction]:
-    # [z^m] log(1 + z) = (-1)^(m+1) / m for m >= 1
-    out = [Fraction(0)] * (degree + 1)
-    for m in range(1, degree + 1):
-        out[m] = Fraction((-1) ** (m + 1), m)
-    return out
-
-
-def _series_multiply(a: list[Fraction], b: list[Fraction], degree: int) -> list[Fraction]:
-    out = [Fraction(0)] * (degree + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(degree - i + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def stirling_via_log_series(n: int, k: int) -> Fraction:
     """``s(n, k)`` by coefficient extraction: ``(n!/k!) [z^n] log(1+z)^k``.
 
-    Exact formal power series over Fraction, truncated at degree ``n``.
-    Independent of the recurrence table, so the two routes check each other.
-    ``n`` above 512 raises ``ValueError``.
+    Exact formal power series over Fraction.  With ``log(1+z) = z L(z)``,
+    ``L(z) = sum_i a_i z^i``, ``a_i = (-1)^i / (i + 1)``, the coefficient is
+    ``[z^(n-k)] L^k``.  The power ``L^k = sum_m b_m z^m`` follows from
+    ``L (L^k)' = k L' L^k``:
+    ``b_m = (1/m) sum_{i=1..m} ((k+1) i - m) a_i b_(m-i)`` (Knuth, TAOCP
+    vol. 2, section 4.7), about ``(n-k)^2 / 2`` products.  Independent of the
+    recurrence table, so the two routes check each other.  ``n`` above 512
+    raises ``ValueError``.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be natural numbers")
@@ -95,12 +80,13 @@ def stirling_via_log_series(n: int, k: int) -> Fraction:
         raise ValueError("log-series route requires k <= n")
     if n > _LOG_SERIES_CAP:
         raise ValueError(f"series cap {_LOG_SERIES_CAP} exceeded (n = {n})")
-    base = _log1p_series(n)
-    power = [Fraction(0)] * (n + 1)
-    power[0] = Fraction(1)
-    for _ in range(k):
-        power = _series_multiply(power, base, n)
-    return Fraction(math.factorial(n), math.factorial(k)) * power[n]
+    degree = n - k
+    series = [Fraction((-1) ** i, i + 1) for i in range(degree + 1)]
+    power = [Fraction(1)]
+    for m in range(1, degree + 1):
+        total = sum(((k + 1) * i - m) * series[i] * power[m - i] for i in range(1, m + 1))
+        power.append(total / m)
+    return Fraction(math.factorial(n), math.factorial(k)) * power[degree]
 
 
 def _extended_inverses(

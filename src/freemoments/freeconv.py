@@ -1,11 +1,12 @@
 """Numerical free-convolution analysis.
 
-Cauchy transforms of the semicircle and uniform laws, a Newton subordination
-solver for their free additive convolution, started from the transform's
-boundary values on Biane's real-axis curve, Stieltjes inversion
-onto density grids, the exponential pushforward, the closed-form support
-of the free log-normal law, and exponential moments as a contour integral in
-the subordination variable, with no series and no solver.
+Cauchy transforms of the semicircle and uniform laws, a subordination solver
+for their free additive convolution (a Halley step with a Newton fallback),
+started from the transform's boundary values on Biane's real-axis curve,
+Stieltjes inversion onto density grids, the exponential pushforward, the
+closed-form support of the free log-normal law, and exponential moments as a
+contour integral in the subordination variable, with no series and no
+solver.
 
 Biane's curve is solved in one place: one Newton solve of its angle
 equation (``_biane_angles``) serves both the solver's start and the
@@ -18,7 +19,7 @@ A density grid whose law and window are both centred on 0 (every free
 log-normal window is) is solved on its right half only: for a law symmetric
 about 0, ``G(-conj z) = -conj G(z)`` gives the left half, on abscissae that
 are the exact negatives of the right ones.  The final residual check of the
-Newton solver and the Nevanlinna test then run on the reflected half too, so
+solver and the Nevanlinna test then run on the reflected half too, so
 every returned point passes each exactly once.
 
 Branch discipline: square roots and logarithms use principal branches, and
@@ -93,11 +94,22 @@ def _uniform_transform(wlo: np.ndarray, whi: np.ndarray, width: float) -> np.nda
     u = wlo * r
     a, b = q.real, q.imag
     near = a * a + b * b < 0.25
-    # both branches run at every point, which is cheaper than masked ufuncs;
-    # the branch not taken may meet log(0) or leave log1p's domain
-    with np.errstate(divide="ignore", invalid="ignore"):
-        modulus = np.where(near, 0.5 * np.log1p(a * (2.0 + a) + b * b), np.log(np.abs(u)))
-    phase = np.arctan2(np.where(near, b, u.imag), np.where(near, 1.0 + a, u.real))
+    # a grid on the solver's centred half, or Biane's curve, takes one branch
+    # at every point: only that branch runs.  The log1p branch keeps its
+    # argument above -3/4.  A mixed mask runs both branches at every point,
+    # which is cheaper than masked ufuncs; the branch not taken may meet
+    # log(0) or leave log1p's domain.
+    if near.all():
+        modulus = 0.5 * np.log1p(a * (2.0 + a) + b * b)
+        phase = np.arctan2(b, 1.0 + a)
+    elif not near.any():
+        with np.errstate(divide="ignore"):
+            modulus = np.log(np.abs(u))
+        phase = np.arctan2(u.imag, u.real)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            modulus = np.where(near, 0.5 * np.log1p(a * (2.0 + a) + b * b), np.log(np.abs(u)))
+        phase = np.arctan2(np.where(near, b, u.imag), np.where(near, 1.0 + a, u.real))
     log = np.empty_like(q)
     log.real = modulus
     log.imag = phase
@@ -143,8 +155,8 @@ def cauchy_uniform(z: complex, lo: float, hi: float) -> complex:
 
 
 _EPS = float(np.finfo(float).eps)
-# Newton stopping rule, read at call time: a point stops when its Newton step
-# falls below _TOLERANCE * max(1, |G|) or its residual reaches roundoff; a
+# Solver stopping rule, read at call time: a point stops when its step falls
+# below _TOLERANCE * max(1, |G|) or its residual reaches roundoff; a
 # solve raises SubordinationError after _MAX_ITERATIONS vectorized steps, or
 # when a point it would return fails the final residual check.
 _TOLERANCE = 1e-13
@@ -194,8 +206,9 @@ def _biane_angles(c: float, width: float, product: np.ndarray) -> np.ndarray:
         dsinc = np.where(theta > 1e-3, (cos - sinc) / theta, -theta / 3.0)
         slope = -c * sin - k * (sin + theta * cos) - product * dsinc
         step = value / slope
-        # the root is positive, so no step may more than halve theta
-        theta = np.clip(theta - step, 0.5 * theta, math.pi)
+        # the root is positive, so no step may more than halve theta (the
+        # same bits as np.clip, at a third of its cost)
+        theta = np.minimum(np.maximum(theta - step, 0.5 * theta), math.pi)
         if not np.abs(step).max() > 64.0 * _EPS:
             break
     return theta
@@ -273,8 +286,15 @@ def _newton_stage(
     tolerance: float,
     budget: int,
 ) -> None:
-    """Newton on ``G - G_U(z - c G) = 0`` in place over ``g``, for at most
-    ``budget`` vectorized steps.
+    """A Halley step with a Newton fallback on ``F(G) = G - G_U(z - c G) = 0``,
+    in place over ``g``, for at most ``budget`` vectorized steps.
+
+    With ``ratio = c / ((w - lo)(w - hi))``, ``F' = 1 - ratio`` and
+    ``F'' = -ratio^2 (2w - lo - hi)``, so Halley's step
+    ``N / (1 - N F'' / (2 F'))``, N the Newton step ``F / F'``, costs a few
+    products more than Newton's and converges cubically.  Where
+    ``|N F'' / (2 F')| >= 1/2``, next to a support edge where ``F' -> 0``,
+    the point takes the Newton step instead.
 
     ``w - lo`` and ``w - hi`` are formed from the end e of ``[lo, hi]``
     nearer to ``Re z``, as ``(z - e) - c G`` plus ``e - lo`` or ``e - hi``:
@@ -286,20 +306,32 @@ def _newton_stage(
     a point fails :func:`_check_residual`.
     """
     ze, to_lo, to_hi = _end_offsets(z, lo, hi)
-    active = np.arange(z.size)
-    while active.size:
+    every = slice(None)
+    active = every  # views, not gathers, until the first point stops
+    while True:
         if budget == 0:
+            left = z.size if active is every else active.size
             raise SubordinationError(
-                f"{active.size} of {z.size} grid points did not converge before "
-                f"the Newton step budget ran out (tolerance {tolerance:g})"
+                f"{left} of {z.size} grid points did not converge before "
+                f"the solver's step budget ran out (tolerance {tolerance:g})"
             )
         budget -= 1
         current = g[active]
         we = ze[active] - c * current
         wlo, whi = we + to_lo[active], we + to_hi[active]
         residual = current - _uniform_transform(wlo, whi, hi - lo)
-        # F'(G), dividing twice: the product (w - lo)(w - hi) overflows first
-        step = residual / (1.0 - c / wlo / whi)
+        # dividing twice: the product (w - lo)(w - hi) overflows first
+        ratio = c / wlo / whi
+        slope = 1.0 - ratio
+        newton = residual / slope
+        # -N F'' / (2 F'), dropped where it is not small
+        correction = newton * (ratio * ratio) * (wlo + whi) / (2.0 * slope)
+        step = newton / (1.0 + np.where(np.abs(correction) < 0.5, correction, 0.0))
+        # the step measures the distance to the root; near a support edge
+        # F' -> 0 and it settles at roundoff / |F'| above the tolerance while
+        # the residual is already at roundoff
+        scale = np.maximum(1.0, np.abs(current))
+        done = (np.abs(step) <= tolerance * scale) | (np.abs(residual) <= 4.0 * _EPS * scale)
         new = current - step
         # keep Im G <= 0, so that w stays in the upper half-plane: a point
         # that crosses the real axis is reflected back, which brings it
@@ -307,12 +339,10 @@ def _newton_stage(
         # stall next to the real axis, far from the root)
         new.imag = -np.abs(new.imag)
         g[active] = new
-        # the full Newton step measures the distance to the root; near a
-        # support edge F' -> 0 and the step settles at roundoff / |F'| above
-        # the tolerance while the residual is already at roundoff
-        scale = np.maximum(1.0, np.abs(current))
-        done = (np.abs(step) <= tolerance * scale) | (np.abs(residual) <= 4.0 * _EPS * scale)
-        active = active[~done]
+        if done.all():
+            break
+        if done.any():
+            active = np.flatnonzero(~done) if active is every else active[~done]
     _check_residual(z, g, c, lo, hi, tolerance)
 
 
@@ -356,10 +386,11 @@ def _subordination_cauchy(z: np.ndarray, radius: float, lo: float, hi: float) ->
     The semicircle's R-transform is ``c G`` with ``c = radius^2 / 4``, so G is
     the root of ``F(G) = G - G_U(z - c G)`` with ``Im G < 0`` (Biane, Indiana
     Univ. Math. J. 46, 1997), and ``F'(G) = 1 - c / ((w - lo)(w - hi))`` at
-    ``w = z - c G``.  One Newton stage runs at the height of z, started from
-    the boundary values on the real axis (:func:`_real_axis_start`), which
-    lie within interpolation error of G at any small height; ``lo == hi``
-    starts from the closed-form transform of the shifted semicircle.
+    ``w = z - c G``.  One stage of Halley steps with a Newton fallback
+    (:func:`_newton_stage`) runs at the height of z, started from the
+    boundary values on the real axis (:func:`_real_axis_start`), which lie
+    within interpolation error of G at any small height; ``lo == hi`` starts
+    from the closed-form transform of the shifted semicircle.
     """
     c = 0.25 * radius * radius
     if lo == hi:
@@ -376,16 +407,16 @@ def free_sum_cauchy(z: complex, radius: float, lo: float, hi: float) -> complex:
 
     Subordination through the linear R-transform of the semicircle: G is the
     root of ``G = G_U(z - (radius^2/4) G)`` with ``Im G < 0``, found by one
-    stage of Newton's method at ``z``, started from the transform's boundary
-    value ``G(Re z + i0)`` on Biane's real-axis curve; a step that would
-    cross the real axis is reflected back into ``Im G < 0``.  A point stops
-    when its Newton step falls below ``1e-13 * max(1, |G|)`` or its residual
-    reaches roundoff; a budget of 10 000 vectorized Newton steps bounds the
-    solve, and a final residual check refuses any point that stopped short
-    of the root.  Both raise ``SubordinationError``.  ``lo == hi`` (point
-    mass) and tiny ``radius`` reproduce the single-measure transforms.
-    Arguments that are nan, infinite or past the float range raise
-    ``ValueError``.
+    stage of Halley steps with a Newton fallback at ``z``, started from the
+    transform's boundary value ``G(Re z + i0)`` on Biane's real-axis curve;
+    a step that would cross the real axis is reflected back into
+    ``Im G < 0``.  A point stops when its step falls below
+    ``1e-13 * max(1, |G|)`` or its residual reaches roundoff; a budget of
+    10 000 vectorized steps bounds the solve, and a final residual check
+    refuses any point that stopped short of the root.  Both raise
+    ``SubordinationError``.  ``lo == hi`` (point mass) and tiny ``radius``
+    reproduce the single-measure transforms.  Arguments that are nan,
+    infinite or past the float range raise ``ValueError``.
     """
     _check_law(radius, lo, hi)
     g = _subordination_cauchy(_as_upper(z), radius, float(lo), float(hi))
@@ -461,10 +492,10 @@ def free_lognormal_support(t: float) -> SupportInterval:
     ``S(t) = sqrt(t(1 + t/4)) + 2 asinh(sqrt(t)/2)`` is the right edge of
     ``Semicircle(2 sqrt(t)) boxplus Uniform[-t/2, t/2]``.  They multiply to 1
     (the law of the logarithm is symmetric) and tend to 1 as ``t -> 0``.
-    A ``t`` that is nan or infinite raises ``ValueError``.
+    A ``t`` that is nan, infinite or past the float range raises
+    ``ValueError``.
     """
-    if not math.isfinite(t):
-        _raise_not_finite(t=t)
+    _raise_not_finite(t=t)
     if t <= 0:
         raise ValueError("time must be positive")
     q = math.sqrt(t * (t + 4.0))
@@ -575,15 +606,21 @@ def grid_moments(
     out: list[float] = []
     # np.trapezoid's arithmetic, with the spacings taken once; one order at a
     # time, since one trapezoid over the stacked (n_max + 1, points) rows
-    # took about 3x as long, in its larger temporaries
+    # took about 3x as long, in its larger temporaries.  Each order's terms
+    # go into one buffer.
     spacing = np.diff(x)
-    zg = g  # z^n G(z), one multiplication by z per order
-    for _ in range(n_max + 1):
-        y = zg.imag
-        line = -float((spacing * (y[1:] + y[:-1]) / 2.0).sum()) / math.pi
+    terms = np.empty_like(spacing)
+    zg = g  # z^n G(z), multiplied by z in place after each order
+    y = zg.imag
+    for n in range(n_max + 1):
+        np.add(y[1:], y[:-1], out=terms)
+        np.multiply(spacing, terms, out=terms)
+        np.divide(terms, 2.0, out=terms)
+        line = -float(terms.sum()) / math.pi
         ends = (eta / math.pi) * float(zg[-1].real - zg[0].real)
         out.append(line + ends)
-        zg = zg * z
+        if n < n_max:
+            np.multiply(zg, z, out=zg)
     return out
 
 

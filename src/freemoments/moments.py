@@ -240,9 +240,13 @@ def free_lognormal_moment(n: int, t: float) -> float:
     """n-th moment ``e^(nt/2) L_{n-1}^{(1)}(-nt) / n`` of the free log-normal law.
 
     Raises ``OverflowError`` when the moment exceeds the float range, and
-    ``ValueError`` when ``t`` is nan or infinite.
+    ``ValueError`` when ``t`` is nan, infinite or past the float range.
     """
-    if not math.isfinite(t):
+    try:
+        finite = math.isfinite(t)
+    except OverflowError:  # an int or Fraction past the float range
+        finite = False
+    if not finite:
         _raise_not_finite(t=t)
     if n < 1:
         raise ValueError("order must be a positive integer")
@@ -255,8 +259,13 @@ def free_lognormal_moment(n: int, t: float) -> float:
 
 
 def _checked_order(alpha: complex, t: float) -> complex:
-    """``alpha`` as a complex; ``ValueError`` for nan, infinity or ``t <= 0``."""
-    if not (cmath.isfinite(alpha) and math.isfinite(t)):
+    """``alpha`` as a complex; ``ValueError`` for nan, infinity, a number
+    past the float range or ``t <= 0``."""
+    try:
+        finite = cmath.isfinite(alpha) and math.isfinite(t)
+    except OverflowError:  # an int or Fraction past the float range
+        finite = False
+    if not finite:
         _raise_not_finite(alpha=alpha, t=t)
     if t <= 0:
         raise ValueError("time must be positive")
@@ -470,12 +479,16 @@ def mgf(measure: MeasureSpec, alpha: complex) -> complex:
     Free sums of a semicircle with a uniform law follow the confirmation
     rule of :func:`free_lognormal_moment_alpha`; exponential images and the
     free log-normal law are out of scope here (their linear moments live in
-    :func:`moment`).  An ``alpha`` that is nan or infinite raises
-    ``ValueError``, and so does a law parameter past the float range.
+    :func:`moment`).  An ``alpha`` that is nan, infinite or past the float
+    range raises ``ValueError``, and so does a law parameter past the float
+    range.
     """
     from .measures import Dirac, FreeSum, Scaled, Semicircle, Uniform
 
-    alpha = complex(alpha)
+    try:
+        alpha = complex(alpha)
+    except OverflowError:  # an int or Fraction past the float range
+        _raise_not_finite(alpha=alpha)
     if not cmath.isfinite(alpha):
         _raise_not_finite(alpha=alpha)
     if isinstance(measure, Dirac):

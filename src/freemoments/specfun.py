@@ -35,11 +35,16 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     term recursion, so it serves as a cross-check for that route.  At
     ``x < 0`` the polynomials grow with the degree and the forward recurrence
     is stable; a value beyond the float range raises ``OverflowError``, and
-    an ``alpha`` or ``x`` that is nan or infinite raises ``ValueError``.
+    an ``alpha`` or ``x`` that is nan, infinite or past the float range
+    raises ``ValueError``.
     """
     if n < 0:
         raise ValueError("degree must be a natural number")
-    if not (math.isfinite(alpha) and math.isfinite(x)):
+    try:
+        finite = math.isfinite(alpha) and math.isfinite(x)
+    except OverflowError:  # an int or Fraction past the float range
+        finite = False
+    if not finite:
         _raise_not_finite(alpha=alpha, x=x)
     previous, current = 0.0, 1.0
     for k in range(n):

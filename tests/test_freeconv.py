@@ -150,6 +150,69 @@ class TestCauchyTransforms:
             assert abs(z * cauchy_uniform(z, -1, 1) - 1) < 5 / y
 
 
+def two_branch_transform(wlo: np.ndarray, whi: np.ndarray, width: float) -> np.ndarray:
+    """The uniform law's transform with both log branches taken at every
+    point and one picked by ``np.where``: the form whose bits each one-branch
+    path of ``freeconv._uniform_transform`` must reproduce."""
+    r = 1.0 / whi
+    q = width * r
+    u = wlo * r
+    a, b = q.real, q.imag
+    near = a * a + b * b < 0.25
+    with np.errstate(divide="ignore", invalid="ignore"):
+        modulus = np.where(near, 0.5 * np.log1p(a * (2.0 + a) + b * b), np.log(np.abs(u)))
+    phase = np.arctan2(np.where(near, b, u.imag), np.where(near, 1.0 + a, u.real))
+    log = np.empty_like(q)
+    log.real = modulus
+    log.imag = phase
+    return log / width
+
+
+def transform_offsets(rng: np.random.Generator, kind: str, size: int, width: float):
+    """``w - lo`` and ``w - hi`` at ``size`` points: "near" has every
+    ``|width / (w - hi)| < 1/2`` (the log1p branch), "far" none, "mixed" half
+    of each, and "real_axis" puts w on the real axis beside lo and beside
+    hi, with both signed zeros.  w = lo itself is left out: there log|u| is
+    -inf, and its division by the width leaves nan and warns in either form."""
+    if kind == "mixed":
+        wlo, whi = zip(transform_offsets(rng, "near", size // 2, width),
+                       transform_offsets(rng, "far", size - size // 2, width))
+        order = rng.permutation(size)
+        return np.concatenate(wlo)[order], np.concatenate(whi)[order]
+    if kind == "real_axis":
+        # beside hi, |1 / (w - hi)|^2 must stay finite, as on the solver's paths
+        gaps = np.array([1e-16, 1e-12, -1e-16, -1e-12]) * width
+        beside_hi = rng.choice(gaps, size)
+        beside_lo = rng.choice(np.concatenate(([1e-300, -1e-300], gaps)), size)
+        imag = rng.choice([0.0, -0.0], size)
+        at_lo = rng.random(size) < 0.5
+        wlo = np.where(at_lo, beside_lo, beside_hi + width) + 1j * imag
+        return wlo, np.where(at_lo, beside_lo - width, beside_hi) + 1j * imag
+    if kind == "near":
+        distance = width * 10 ** rng.uniform(math.log10(2.001), 8, size)
+    else:
+        distance = width * 10 ** rng.uniform(-12, math.log10(1.999), size)
+    whi = distance * np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+    return whi + width, whi
+
+
+class TestUniformTransformBranches:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [2, 17, 2000])
+    @pytest.mark.parametrize("kind", ["near", "far", "mixed", "real_axis"])
+    def test_same_bits_as_both_branches(self, kind, size):
+        # a mask that is all near or all far runs one branch only; the
+        # result must keep every bit of the two-branch form and raise no
+        # warning
+        rng = np.random.default_rng([size, len(kind)])
+        for lo, hi in ((-0.5, 0.5), (-0.3, 1.9), (-4.0, 4.0), (-1e-6, 1e-6)):
+            width = hi - lo
+            wlo, whi = transform_offsets(rng, kind, size, width)
+            ours = freeconv._uniform_transform(wlo, whi, width)
+            reference = two_branch_transform(wlo, whi, width)
+            assert ours.tobytes() == reference.tobytes(), (kind, size, lo, hi)
+
+
 class TestFreeSumCauchy:
     def test_herglotz_and_symmetry(self):
         xs = np.linspace(-4, 4, 9)
@@ -261,6 +324,50 @@ class TestFreeSumCauchy:
         g = free_sum_cauchy(complex(log_edge(8.0) - 1e-4, 1e-5), 2.0 * math.sqrt(8.0), -4.0, 4.0)
         assert g.imag < 0
 
+    def test_random_points_within_1e_6_of_an_edge(self):
+        # Halley's correction is largest next to an edge, where F' -> 0
+        rng = np.random.default_rng(2028)
+        for _ in range(40):
+            t = 0.25 * 2 ** rng.uniform(0.0, 6.0)
+            eta = 10 ** rng.uniform(-7.0, -3.0)
+            x = log_edge(t) + rng.uniform(-1e-6, 1e-6)
+            for z in (complex(x, eta), complex(-x, eta)):
+                assert_matches_root(z, 2.0 * math.sqrt(t), -t / 2, t / 2)
+
+    def test_newton_fallback_next_to_an_edge(self, monkeypatch):
+        # at the edge the real-axis start has F' near 0, so Halley's correction
+        # -N F'' / (2 F') is far from small: the first step is Newton's and
+        # every later one Halley's.  The solver's transform is wrapped to
+        # recompute both steps from the G it is called at.
+        t, eta = 1.0, 1e-5
+        c, lo, hi = t, -t / 2, t / 2
+        z = np.array([complex(log_edge(t), eta)])
+        g = freeconv._real_axis_start(z, c, lo, hi)
+        uniform = freeconv._uniform_transform
+        calls = []
+
+        def recording(wlo, whi, width):
+            value = uniform(wlo, whi, width)
+            ratio = c / wlo / whi
+            newton = (g - value) / (1.0 - ratio)
+            correction = newton * ratio**2 * (wlo + whi) / (2.0 * (1.0 - ratio))
+            calls.append((g.copy(), newton, newton / (1.0 + correction), abs(correction[0])))
+            return value
+
+        monkeypatch.setattr(freeconv, "_uniform_transform", recording)
+        freeconv._newton_stage(z, g, c, lo, hi, freeconv._TOLERANCE, freeconv._MAX_ITERATIONS)
+        # the last call is the final residual check, at the returned G
+        fallbacks = 0
+        for (current, newton, halley, size), (following, *_) in zip(calls, calls[1:]):
+            fallbacks += size >= 0.5
+            new = current - (newton if size >= 0.5 else halley)
+            new.imag = -np.abs(new.imag)
+            assert np.array_equal(new, following)
+        assert fallbacks == 1 and calls[0][3] >= 0.5
+        reference, im_g, im_w = high_precision_root(complex(z[0]), t, complex(g[0]))
+        assert im_g < 0 and im_w > 0
+        assert abs(g[0] - reference) <= 1e-12 * max(1.0, abs(reference))
+
 
 class TestBianeCurve:
     @pytest.mark.parametrize("t", [0.5, 2.0, 8.0])
@@ -367,6 +474,46 @@ class TestSolverWork:
         assert sum(checks) == 4000
         assert len(sizes) - len(checks) <= 10  # Newton steps, without the checks
         assert sum(sizes) < 0.5 * self.CONTINUATION[(t, eta)]
+
+    # point evaluations that plain Newton steps, from the same start and with
+    # the same stopping rule, spent in the solver on these grids: 37 650 in all
+    NEWTON = {
+        (0.25, 1e-3): 7269,
+        (0.25, 1e-5): 6019,
+        (2.0, 1e-3): 6301,
+        (2.0, 1e-5): 6007,
+        (8.0, 1e-3): 6108,
+        (8.0, 1e-5): 5946,
+    }
+
+    def test_halley_steps_on_workload_grids(self, monkeypatch):
+        # Halley steps spent 30 126 (4253 to 6016 a grid); the curve's samples
+        # and the two residual checks are not counted
+        sizes = []
+        checks = []
+        uniform = freeconv._uniform_transform
+        check = freeconv._check_residual
+
+        def counting(wlo, whi, width):
+            sizes.append(wlo.size)
+            return uniform(wlo, whi, width)
+
+        def counting_check(*args):
+            checks.append(args[0].size)
+            check(*args)
+
+        monkeypatch.setattr(freeconv, "_uniform_transform", counting)
+        monkeypatch.setattr(freeconv, "_check_residual", counting_check)
+        total = 0
+        for (t, eta), newton in sorted(self.NEWTON.items()):
+            sizes.clear()
+            checks.clear()
+            edge = log_edge(t)
+            grid_moments(2.0 * math.sqrt(t), -t / 2, t / 2, -edge - 0.5, edge + 0.5, 4000, eta, 0)
+            solver = sum(sizes) - sum(checks) - freeconv._CURVE_SAMPLES
+            assert solver < newton, (t, eta)
+            total += solver
+        assert total <= 31_000
 
 
 class TestDensityGrid:

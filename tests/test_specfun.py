@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemoments import checks, specfun
+from freemoments.freeconv import free_lognormal_support
 from freemoments.measures import Dirac, FreeLogNormal, Scaled, Semicircle, Uniform
 from freemoments.moments import (
     additive_mgf,
@@ -524,6 +525,31 @@ def test_non_finite_arguments_raise_value_error(bad):
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("t", lambda: free_lognormal_support(10**400)),
+        ("alpha", lambda: laguerre(3, 10**400, 1.0)),
+        ("alpha", lambda: mgf(Semicircle(2), 10**400)),
+        ("t", lambda: free_lognormal_moment(3, 10**400)),
+        ("t", lambda: additive_mgf(1.0, 10**400)),
+        ("alpha", lambda: free_lognormal_moment_alpha(10**400, 1.0)),
+    ],
+    ids=[
+        "free_lognormal_support",
+        "laguerre",
+        "mgf",
+        "free_lognormal_moment",
+        "additive_mgf",
+        "free_lognormal_moment_alpha",
+    ],
+)
+def test_orders_and_times_past_the_float_range_are_named(name, call):
+    # before, OverflowError("int too large to convert to float")
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got a number past the float range"):
+        call()
 
 
 class TestEulerIntegral:
